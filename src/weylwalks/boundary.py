@@ -316,8 +316,9 @@ class CentralMeasure:
             return row
         s_lam = chars.evaluate_S(cartan, lam, lam, t)
         row = {}
-        for mu, e in _chamber_edges(cartan, self.delta, lam):
-            val = e * chars.evaluate_S(cartan, mu, wadd(lam, self.delta), t) \
+        moves = sorted(paths.chamber_moves(cartan, self.delta, lam).items())
+        for mu, letters in moves:
+            val = len(letters) * chars.evaluate_S(cartan, mu, wadd(lam, self.delta), t) \
                 / (self.point.s_delta * s_lam)
             if val:
                 row[mu] = val
@@ -336,18 +337,6 @@ class CentralMeasure:
             "s_hat": repr(s_hat_t(self.cartan, self.delta, pt.t))
             if all(x > 0 for x in pt.t) else "inf",
         }
-
-
-def _chamber_edges(cartan, delta, lam):
-    """Edges out of lam in the chamber graph: (mu, letter count)."""
-    ends, floors = paths._letter_data(cartan, delta)
-    rank = cartan.rank
-    row = {}
-    for end, floor in zip(ends, floors):
-        if all(lam[k] + floor[k] >= 0 for k in range(rank)):
-            mu = wadd(lam, end)
-            row[mu] = row.get(mu, 0) + 1
-    return sorted(row.items())
 
 
 def central_measure_from_point(kind: str, point: BoundaryPoint) -> CentralMeasure:

@@ -339,12 +339,13 @@ def total_positivity_min_minor(cartan: CartanDatum, delta, t, w: WeylElement, km
 
 @lru_cache(maxsize=None)
 def _weyl_pack(cartan):
-    """Float pack (matrices, dets, omega->alpha) for vectorized numerator sums."""
+    """Float pack (matrices, dets, omega->alpha, rho) for vectorized numerator sums."""
     mats = np.array([[[float(x) for x in row] for row in w.matrix]
                      for w in cartan.elements])
     dets = np.array([float(cartan.det(w)) for w in cartan.elements])
     to_alpha = np.array([[float(c) for c in row] for row in cartan._omega_to_alpha])
-    return mats, dets, to_alpha
+    rho = np.array([float(c) for c in cartan.rho])
+    return mats, dets, to_alpha, rho
 
 
 def weyl_numerator(cartan: CartanDatum, lam, log_t: np.ndarray) -> float:
@@ -360,8 +361,7 @@ def weyl_numerator(cartan: CartanDatum, lam, log_t: np.ndarray) -> float:
 
 def weyl_numerator_batch(cartan: CartanDatum, lams, log_t: np.ndarray) -> np.ndarray:
     """N_lambda(t) for a stack of weights in one vectorized pass."""
-    mats, dets, to_alpha = _weyl_pack(cartan)
-    rho = np.array([float(c) for c in cartan.rho])
+    mats, dets, to_alpha, rho = _weyl_pack(cartan)
     x = np.array([[float(c) for c in lam] for lam in lams]) + rho
     images = np.einsum("wij,mj->mwi", mats, x)
     exps = (x[:, None, :] - images) @ to_alpha.T

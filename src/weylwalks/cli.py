@@ -156,6 +156,9 @@ def parse(argv) -> RunConfig:
                 build_parser().error(f"unknown criteria {unknown}")
         return RunConfig(command="verify",
                          params={"criteria": criteria, "types": ns.type_filter})
+    for key in ("steps", "nmax"):
+        if getattr(ns, key, 0) < 0:
+            build_parser().error(f"--{key} must be nonnegative, got {getattr(ns, key)}")
     cartan = ns.cartan
     command = ns.group if ns.group == "sample" else f"{ns.group}-{ns.verb}"
     delta = ()

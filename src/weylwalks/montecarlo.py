@@ -4,7 +4,10 @@ Pitman chain (deterministic enumeration, never two-sample statistics).
 
 RNG contract: numpy Generators seeded as default_rng([seed, rep]); per-rep
 streams are independent and the whole report is reproducible from
-(configuration, seed).
+(configuration, seed).  The chamber sampler walks on int weights and draws
+each move by inverse CDF, bisect_right(cdf, rng.random()) over the kernel
+row's cached CDF, bit-identical to Generator.choice(n, p=row): RNG streams
+and output bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import DimensionCap, EnumerationCap, NotDominantDrift
-from .rootdata import CartanDatum, weight, wadd, wsub, wzero
+from .rootdata import CartanDatum, weight, wsub
 from . import boundary, chars, paths
 
 LLN_PASS_THRESHOLD = 0.05  # at 5000 steps, about 3.5 standard errors (see lln_check)
@@ -105,34 +109,36 @@ class _ChamberStepper:
             self.s_delta = chars.evaluate_S(self.cartan, self.delta, self.delta,
                                             self.nudged)
             # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
-            ends, _ = paths._letter_data(self.cartan, self.delta)
-            self.step_monomials = {
-                end: chars.monomial(
-                    self.nudged, self.cartan.alpha_coords(wsub(self.delta, end)))
-                for end in set(ends)
-            }
-        self.rows = {}
+            ends, _ = paths._letter_table(self.cartan, self.delta)
+            self.letter_monomials = [
+                chars.monomial(self.nudged,
+                               self.cartan.alpha_coords(wsub(self.delta, end)))
+                for end in ends
+            ]
+        self.tables = {}
 
     def row(self, lam):
-        cached = self.rows.get(lam)
-        if cached is not None:
-            return cached
-        edges = boundary._chamber_edges(self.cartan, self.delta, lam)
+        """(targets, probabilities) out of the integral dominant weight lam."""
+        mus, probs, _ = self._row(lam)
+        return mus, probs
+
+    def _row(self, lam):
+        moves = sorted(paths.chamber_moves(self.cartan, self.delta, lam).items())
         if self.all_ones:
             z = chars.weyl_dim(self.cartan, self.delta)
             dim_lam = chars.weyl_dim(self.cartan, lam)
-            probs = [e * chars.weyl_dim(self.cartan, mu) / (z * dim_lam)
-                     for mu, e in edges]
+            probs = [len(bs) * chars.weyl_dim(self.cartan, mu) / (z * dim_lam)
+                     for mu, bs in moves]
             probs = [float(q) for q in probs]
         elif not self.has_zero:
             # Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam})
             # with S_{nu,nu}(t) = N_nu(t)/N_0(t) by the Weyl character formula
             nums = chars.weyl_numerator_batch(
-                self.cartan, [lam] + [mu for mu, _ in edges], self.log_t)
+                self.cartan, [lam] + [mu for mu, _ in moves], self.log_t)
             probs = [
-                e * self.step_monomials[wsub(mu, lam)]
+                len(bs) * self.letter_monomials[bs[0]]
                 * nums[1 + k] / (self.s_delta * nums[0])
-                for k, (mu, e) in enumerate(edges)
+                for k, (mu, bs) in enumerate(moves)
             ]
         else:
             if chars.weyl_dim(self.cartan, lam) > FALLBACK_DIM_CAP:
@@ -141,12 +147,29 @@ class _ChamberStepper:
                     "evaluation cap; boundary-parameter walks are supported "
                     "at desk scale only")
             row = self.measure.kernel_row(lam)
-            probs = [row.get(mu, 0.0) for mu, _ in edges]
+            probs = [row.get(mu, 0.0) for mu, _ in moves]
         arr = np.array(probs, dtype=float)
         total = arr.sum()
         assert abs(total - 1.0) < 1e-6, f"kernel row sums to {total}"
-        out = ([mu for mu, _ in edges], arr / total)
-        self.rows[lam] = out
+        return [mu for mu, _ in moves], arr / total, [bs for _, bs in moves]
+
+    def table(self, lam):
+        """Cached step table out of the int weight lam: (targets, CDF, letters).
+
+        The CDF is the one `Generator.choice(n, p=probs)` builds, so
+        bisect_right(cdf, rng.random()) draws the same target from the same
+        stream; letters[k] lists the valid letters to targets[k] in index order.
+        """
+        cached = self.tables.get(lam)
+        if cached is not None:
+            return cached
+        mus, probs, letters = self._row(lam)
+        if not np.all(probs >= 0):
+            raise ValueError("probabilities are not non-negative")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        out = (mus, cdf.tolist(), letters)
+        self.tables[lam] = out
         return out
 
 
@@ -159,35 +182,37 @@ def sample_trajectory(measure, steps: int, seed) -> Trajectory:
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    cartan = measure.cartan
     rng = np.random.default_rng(seed)
-    ends, floors = paths._letter_data(cartan, measure.delta)
-    positions = [wzero(cartan.rank)]
+    ends, _ = paths._letter_table(measure.cartan, measure.delta)
+    lam = (0,) * measure.cartan.rank
+    path = [lam]
     letters = []
     if measure.kind == "free":
         probs = _free_letter_probs(measure)
         draws = rng.choice(len(probs), size=steps, p=probs) if steps else []
         for b in draws:
-            letters.append(int(b))
-            positions.append(wadd(positions[-1], ends[int(b)]))
+            b = int(b)
+            letters.append(b)
+            lam = tuple(x + e for x, e in zip(lam, ends[b]))
+            path.append(lam)
     else:
-        # row caches are pure; share them across trajectories of one measure
+        # step tables are pure; share them across trajectories of one measure
         stepper = getattr(measure, "_chamber_stepper", None)
         if stepper is None:
             stepper = _ChamberStepper(measure)
             measure._chamber_stepper = stepper
-        lam = positions[0]
         for _ in range(steps):
-            mus, probs = stepper.row(lam)
-            mu = mus[int(rng.choice(len(mus), p=probs))]
-            eps = wsub(mu, lam)
-            valid = [b for b, end in enumerate(ends)
-                     if end == eps and all(lam[k] + floors[b][k] >= 0
-                                           for k in range(cartan.rank))]
-            letters.append(int(valid[int(rng.integers(len(valid)))]))
-            lam = mu
-            positions.append(lam)
-    return Trajectory(letters=tuple(letters), positions=tuple(positions), seed=seed)
+            mus, cdf, letter_lists = stepper.table(lam)
+            k = bisect_right(cdf, rng.random())
+            valid = letter_lists[k]
+            # integers(1) draws no bits, so a lone letter needs no call
+            letters.append(valid[int(rng.integers(len(valid)))] if len(valid) > 1
+                           else valid[0])
+            lam = mus[k]
+            path.append(lam)
+    exact = {v: weight(v) for v in set(path)}
+    return Trajectory(letters=tuple(letters),
+                      positions=tuple(exact[v] for v in path), seed=seed)
 
 
 def lln_check(measure, steps: int, reps: int, seed: int = 0,

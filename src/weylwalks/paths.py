@@ -9,6 +9,7 @@ linearity makes that exact).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -271,6 +272,40 @@ def _letter_data(cartan, delta):
     return tuple(ends), tuple(floors)
 
 
+@lru_cache(maxsize=None)
+def _letter_table(cartan, delta):
+    """Per crystal letter: (endpoint, validity threshold) as int tuples.
+
+    From an integral weight lam, letter b is chamber-valid iff
+    lam_k >= threshold_b[k] for every k, where threshold_b[k] = ceil(-floor_b[k]).
+    The minima of a Littelmann path's coroot heights are integers, so this is
+    -floor_b[k]; the ceiling keeps the test exact without relying on that.
+    """
+    ends, floors = _letter_data(cartan, delta)
+    int_ends = []
+    for e in ends:
+        assert all(c.denominator == 1 for c in e)
+        int_ends.append(tuple(int(c) for c in e))
+    thresholds = tuple(tuple(-math.floor(f) for f in floor) for floor in floors)
+    return tuple(int_ends), thresholds
+
+
+def chamber_moves(cartan, delta, lam) -> dict:
+    """Chamber-valid letters out of the integral dominant weight lam.
+
+    Returns {mu: [b, ...]}: each target mu = lam + endpoint_b with the letters
+    reaching it in increasing index order; targets appear in the order of their
+    first letter.  Integer lam gives int targets, Fraction lam Fraction ones.
+    """
+    ends, thresholds = _letter_table(cartan, delta)
+    moves = {}
+    for b, (end, threshold) in enumerate(zip(ends, thresholds)):
+        if all(x >= y for x, y in zip(lam, threshold)):
+            mu = tuple(x + e for x, e in zip(lam, end))
+            moves.setdefault(mu, []).append(b)
+    return moves
+
+
 # -- growth graphs ---------------------------------------------------------------
 
 
@@ -307,7 +342,7 @@ def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
 
 @lru_cache(maxsize=None)
 def _build_growth_graph(cartan, kind, delta, n_max, level_cap):
-    ends, floors = _letter_data(cartan, delta)
+    ends, _ = _letter_data(cartan, delta)
     free_steps = {}
     for e in ends:
         free_steps[e] = free_steps.get(e, 0) + 1
@@ -325,10 +360,8 @@ def _build_growth_graph(cartan, kind, delta, n_max, level_cap):
                     mu = wadd(lam, gamma)
                     row[mu] = row.get(mu, 0) + k
             else:
-                for b, e in enumerate(ends):
-                    if all(lam[k] + floors[b][k] >= 0 for k in range(cartan.rank)):
-                        mu = wadd(lam, e)
-                        row[mu] = row.get(mu, 0) + 1
+                for mu, letters in chamber_moves(cartan, delta, lam).items():
+                    row[mu] = len(letters)
             out_edges[lam] = sorted(row.items())
             for mu, k in row.items():
                 nxt[mu] = nxt.get(mu, 0) + cnt * k

@@ -154,3 +154,19 @@ def test_byte_stable_output(capsys):
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sample", "--type", "A1", "--delta", "1", "--mode", "chamber", "--m", "0",
+      "--steps", "-1", "--seed", "1"], "--steps"),
+    (["graph", "build", "--type", "A1", "--delta", "1", "--kind", "chamber",
+      "--nmax", "-3"], "--nmax"),
+])
+def test_negative_count_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{flag} must be nonnegative, got -" in out.err
+    assert "Traceback" not in out.err

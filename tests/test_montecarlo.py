@@ -1,11 +1,13 @@
 """Samplers, LLN checks, and exact Pitman equality in law."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from weylwalks import (
+    boundary_point,
     build_root_system,
     central_measure,
     central_measure_from_point,
@@ -14,8 +16,11 @@ from weylwalks import (
     random_boundary_point,
     sample_trajectory,
     weight,
+    wsub,
     wzero,
 )
+from weylwalks import chars
+from weylwalks.boundary import CentralMeasure
 from weylwalks.errors import EnumerationCap, NotDominantDrift
 from weylwalks.montecarlo import (
     _ChamberStepper,
@@ -23,11 +28,13 @@ from weylwalks.montecarlo import (
     report_to_json,
     trajectory_csv,
 )
-from weylwalks.paths import build_growth_graph, crystal
+from weylwalks.paths import _letter_data, build_growth_graph, crystal
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
+G2 = build_root_system("G", 2)
+A3 = build_root_system("A", 3)
 
 
 def interior_measure(cartan, delta, kind, seed=0):
@@ -106,6 +113,67 @@ def test_chamber_stepper_dimension_kernel_at_ones():
     mus, probs = stepper.row(weight((3,)))
     expected = {weight((4,)): 5 / 8, weight((2,)): 3 / 8}
     assert {mu: pytest.approx(p) for mu, p in zip(mus, probs)} == expected
+
+
+def reference_chamber_walk(measure, steps, seed):
+    """The sampler's previous algorithm: Generator.choice over the kernel row,
+    then a uniform chamber-valid letter chosen by the Fraction floors."""
+    cartan = measure.cartan
+    rng = np.random.default_rng(seed)
+    ends, floors = _letter_data(cartan, measure.delta)
+    stepper = _ChamberStepper(measure)
+    lam = wzero(cartan.rank)
+    letters, positions = [], [lam]
+    for _ in range(steps):
+        mus, probs = stepper.row(lam)
+        mu = mus[int(rng.choice(len(mus), p=probs))]
+        eps = wsub(mu, lam)
+        valid = [b for b, end in enumerate(ends)
+                 if end == eps and all(lam[k] + floors[b][k] >= 0
+                                       for k in range(cartan.rank))]
+        letters.append(valid[int(rng.integers(len(valid)))])
+        lam = mu
+        positions.append(lam)
+    return tuple(letters), tuple(positions)
+
+
+@pytest.mark.parametrize("cartan, delta", [
+    (A1, (2,)), (A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0)), (A3, (1, 0, 0))])
+def test_chamber_sampler_matches_reference_loop(cartan, delta):
+    # interior t, one t_i = 1 (the nudged branch) and t = 1, several seeds each
+    rng = np.random.default_rng(29)
+    ts = [tuple(float(0.15 + 0.7 * rng.random()) for _ in range(cartan.rank))
+          for _ in range(2)]
+    if cartan.rank > 1:
+        ts.append((1.0,) + ts[0][1:])
+    ts.append((1.0,) * cartan.rank)
+    for t in ts:
+        meas = CentralMeasure("chamber", boundary_point(cartan, delta, t,
+                                                        cartan.identity))
+        for seed in (0, 1, [5, 3]):
+            traj = sample_trajectory(meas, 150, seed=seed)
+            assert (traj.letters, traj.positions) == \
+                reference_chamber_walk(meas, 150, seed)
+            assert all(type(c) is Fraction for pos in traj.positions for c in pos)
+
+
+def test_negative_kernel_entry_is_rejected(monkeypatch):
+    # a row that sums to 1 but has a negative entry fails as Generator.choice did
+    meas = central_measure(A1, (1,), "chamber", (0.3,))
+    (down, up), (p_down, p_up) = _ChamberStepper(meas).row(weight((1,)))
+    assert (down, up) == (weight((0,)), weight((2,)))
+    real = chars.weyl_numerator_batch
+
+    def skewed(cartan, lams, log_t):
+        nums = real(cartan, lams, log_t)
+        if len(lams) == 3:  # the row out of (1,): lam, then targets (0,), (2,)
+            nums[1] *= -1.0
+            nums[2] *= (1.0 + p_down) / p_up
+        return nums
+
+    monkeypatch.setattr(chars, "weyl_numerator_batch", skewed)
+    with pytest.raises(ValueError, match="probabilities are not non-negative"):
+        sample_trajectory(meas, 5, seed=0)
 
 
 def test_chamber_sampler_endpoint_distribution():

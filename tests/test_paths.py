@@ -27,7 +27,9 @@ from weylwalks import (
 )
 from weylwalks.chars import convolve_multisets
 from weylwalks.paths import (
+    _letter_data,
     build_growth_graph,
+    chamber_moves,
     crystal,
     crystal_to_dot,
     make_path,
@@ -241,6 +243,20 @@ def test_chamber_edge_dimension_identity(cartan, delta):
         for lam, edges in g.edges[n].items():
             assert sum(e * weyl_dim(cartan, mu) for mu, e in edges) == \
                 weyl_dim(cartan, lam) * z
+
+
+@pytest.mark.parametrize("cartan,delta", SUITE)
+def test_chamber_moves_match_fraction_floors(cartan, delta):
+    # the integer thresholds decide validity as the Fraction floors do
+    ends, floors = _letter_data(cartan, delta)
+    for lam in product(range(4), repeat=cartan.rank):
+        expected = {}
+        for b, (end, floor) in enumerate(zip(ends, floors)):
+            if all(x + f >= 0 for x, f in zip(lam, floor)):
+                expected.setdefault(wadd(weight(lam), end), []).append(b)
+        moves = chamber_moves(cartan, delta, lam)
+        assert moves == expected
+        assert all(type(c) is int for mu in moves for c in mu)
 
 
 # -- Pitman transforms -----------------------------------------------------------------

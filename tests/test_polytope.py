@@ -1,7 +1,8 @@
 """Weight polytope: admissible subsets, dominant faces, exact point location.
 
 The exact simplex is cross-checked against an independent dominance-order
-characterization of hull membership and against shapely on rank-2 cases.
+characterization of hull membership and against an exact monotone-chain hull on
+rank-2 cases.
 """
 
 from fractions import Fraction
@@ -54,21 +55,42 @@ def test_hull_contains_triangle():
     assert not hull_contains(cols, (Fraction(2, 3), Fraction(2, 3)))
 
 
-def test_hull_against_shapely_random_polygons():
-    shapely = pytest.importorskip("shapely.geometry")
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def monotone_chain_hull(points):
+    """Convex hull of integer points in the plane: counter-clockwise vertices,
+    collinear points dropped, by Andrew's monotone chain in exact integers."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def test_hull_against_monotone_chain_random_polygons():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        pts = rng.integers(-5, 6, size=(6, 2))
-        cols = [tuple(Fraction(int(x)) for x in p) for p in pts]
-        poly = shapely.MultiPoint([tuple(map(int, p)) for p in pts]).convex_hull
+        pts = [tuple(int(x) for x in p) for p in rng.integers(-5, 6, size=(6, 2))]
+        hull = monotone_chain_hull(pts)
+        assert len(hull) >= 3
+        cols = [tuple(Fraction(x) for x in p) for p in pts]
         for _ in range(10):
-            q = rng.integers(-6, 7, size=2)
-            target = tuple(Fraction(int(x)) for x in q)
-            expected = poly.buffer(1e-9).contains(shapely.Point(*map(int, q)))
-            if poly.exterior is not None and poly.exterior.distance(
-                    shapely.Point(*map(int, q))) < 1e-9:
-                continue  # skip boundary-ambiguous draws
-            assert hull_contains(cols, target) == expected
+            q = tuple(int(x) for x in rng.integers(-6, 7, size=2))
+            # orientation of q against each ccw edge: all > 0 inside, any < 0 outside
+            side = min(_cross(a, b, q) for a, b in zip(hull, hull[1:] + hull[:1]))
+            if side == 0:
+                continue  # skip boundary draws
+            assert hull_contains(cols, tuple(Fraction(x) for x in q)) == (side > 0)
 
 
 def dominance_hull_oracle(cartan, delta, m):
