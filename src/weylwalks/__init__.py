@@ -13,6 +13,7 @@ from .errors import (
     DimensionCap,
     LevelCap,
     EnumerationCap,
+    InvalidWeight,
     OrderViolation,
     NotAdmissible,
     NotInPolytope,
@@ -73,10 +74,8 @@ from .boundary import (
     boundary_point,
     random_boundary_point,
     psi_eval,
-    drift,
     invert_drift,
     central_measure,
-    central_measure_from_point,
     harmonicity_residual,
     s_hat,
     s_hat_t,

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence, NotAWeight, NotDominantDrift
-from .rootdata import CartanDatum, WeylElement, minimal_coset_rep, weight, \
-    wadd, wsub, wscale
+from .errors import NoConvergence, NotAWeight, NotDominantDrift, format_weight
+from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, \
+    weight, wadd, wsub
 from . import chars, paths, polytope
 
 NEWTON_GRAD_TOL = 1e-12
@@ -33,14 +32,10 @@ CLAMP_TO_ONE = 1e-9
 @lru_cache(maxsize=None)
 def _delta_tables(cartan, delta):
     """Per-(cartan, delta) arrays: weights, multiplicities, exponents of delta-gamma."""
-    ms = chars.weight_multiplicities(cartan, delta)
-    gammas = sorted(ms.entries)
-    mults = np.array([float(ms.entries[g]) for g in gammas])
+    gammas = sorted(chars.weight_multiplicities(cartan, delta).entries)
+    exps, mults = chars._module_table(cartan, int_weight(delta))
     coords = np.array([[float(c) for c in g] for g in gammas])
-    exps = np.array([
-        [int(c) for c in cartan.alpha_coords(wsub(delta, g))] for g in gammas
-    ], dtype=float)
-    return gammas, mults, coords, exps
+    return gammas, mults, coords, exps.astype(float)
 
 
 def stabilizer_set(cartan: CartanDatum, delta, t) -> tuple:
@@ -54,11 +49,9 @@ def stabilizer_set(cartan: CartanDatum, delta, t) -> tuple:
     t = tuple(float(x) for x in t)
     support = {i for i, x in enumerate(t) if x != 0.0}
     ones = {i for i, x in enumerate(t) if x == 1.0}
-    ms = chars.weight_multiplicities(cartan, delta)
     face_weights = [
-        g for g in ms.entries
-        if all(c == 0 for k, c in enumerate(cartan.alpha_coords(wsub(delta, g)))
-               if k not in support)
+        g for g, e in chars._free_exponents(cartan, delta, cartan.identity).items()
+        if all(c == 0 for k, c in enumerate(e) if k not in support)
     ]
     extra = {
         i for i in range(cartan.rank)
@@ -97,13 +90,13 @@ class BoundaryPoint:
     def drift(self) -> tuple:
         """Expected increment of the free walk: (1/S_delta) sum K t^(delta - w gamma) gamma."""
         cartan = self.cartan
-        gammas, mults, _, _ = _delta_tables(cartan, self.delta)
+        _, mults, coords, _ = _delta_tables(cartan, self.delta)
+        exps = chars._free_exponents(cartan, self.delta, self.w).values()
         acc = np.zeros(cartan.rank)
-        for g, m in zip(gammas, mults):
-            e = cartan.alpha_coords(wsub(self.delta, cartan.apply(self.w, g)))
+        for m, g, e in zip(mults, coords, exps):
             mono = chars.monomial(self.t, e)
             if mono:
-                acc += m * mono * np.array([float(c) for c in g])
+                acc += m * mono * g
         return tuple(float(x) for x in acc / self.s_delta)
 
     def one_set(self) -> tuple:
@@ -157,19 +150,19 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
     """psi(t,w)(e^gamma, n) = t^(n delta - w gamma) / S_delta(t)^n.
 
     gamma must be a weight of the n-th tensor power (NotAWeight otherwise);
-    the value is multiplicative under concatenation."""
+    the value is multiplicative under concatenation.  The weights of
+    V(delta)^(x)n are those of V(n delta), so gamma is one iff it is integral
+    and n delta minus its dominant representative lies in Q+ (saturation)."""
     cartan = point.cartan
-    gamma = weight(gamma)
-    if paths.count_paths(cartan, "free", point.delta, gamma, n) == 0:
-        raise NotAWeight(f"{gamma} is not a weight at level {n}")
-    ndelta = wscale(n, point.delta)
-    e = cartan.alpha_coords(wsub(ndelta, cartan.apply(point.w, gamma)))
-    assert all(c >= 0 and c.denominator == 1 for c in e)
+    top = int_weight(point.delta)
+    g = int_weight(gamma)
+    below = None if g is None else \
+        chars.free_exponent(cartan, top, cartan.identity, n, chars._dominant(cartan, g))
+    if below is None or min(below) < 0:
+        raise NotAWeight(f"{format_weight(gamma)} is not a weight at level {n}")
+    e = chars.free_exponent(cartan, top, point.w, n, g)
+    assert min(e) >= 0
     return chars.monomial(point.t, e) / point.s_delta**n
-
-
-def drift(point: BoundaryPoint) -> tuple:
-    return point.drift
 
 
 # -- drift inversion -------------------------------------------------------------
@@ -293,10 +286,9 @@ class CentralMeasure:
 
     def p(self, lam, n: int) -> float:
         """Probability of any single length-n path ending at lam."""
-        lam = weight(lam)
         if self.kind == "free":
             return psi_eval(self.point, lam, n)
-        ndelta = wscale(n, self.delta)
+        ndelta = tuple(n * c for c in int_weight(self.delta))
         return chars.evaluate_S(self.cartan, lam, ndelta, self.point.t) \
             / self.point.s_delta**n
 
@@ -307,21 +299,23 @@ class CentralMeasure:
         t = self.point.t
         if self.kind == "free":
             gammas, mults, _, _ = _delta_tables(cartan, self.delta)
+            exps = chars._free_exponents(cartan, self.delta, self.point.w).values()
             row = {}
-            for g, k in zip(gammas, mults):
-                e = cartan.alpha_coords(wsub(self.delta, cartan.apply(self.point.w, g)))
+            for g, k, e in zip(gammas, mults.tolist(), exps):
                 val = k * chars.monomial(t, e) / self.point.s_delta
                 if val:
                     row[wadd(lam, g)] = row.get(wadd(lam, g), 0.0) + val
             return row
         s_lam = chars.evaluate_S(cartan, lam, lam, t)
+        top = int_weight(lam)
+        target = tuple(x + d for x, d in zip(top, int_weight(self.delta)))
         row = {}
-        moves = sorted(paths.chamber_moves(cartan, self.delta, lam).items())
+        moves = sorted(paths.chamber_moves(cartan, self.delta, top).items())
         for mu, letters in moves:
-            val = len(letters) * chars.evaluate_S(cartan, mu, wadd(lam, self.delta), t) \
+            val = len(letters) * chars.evaluate_S(cartan, mu, target, t) \
                 / (self.point.s_delta * s_lam)
             if val:
-                row[mu] = val
+                row[weight(mu)] = val
         return row
 
     def to_jsonable(self) -> dict:
@@ -339,10 +333,6 @@ class CentralMeasure:
         }
 
 
-def central_measure_from_point(kind: str, point: BoundaryPoint) -> CentralMeasure:
-    return CentralMeasure(kind, point)
-
-
 def central_measure(cartan: CartanDatum, delta, kind: str, m) -> CentralMeasure:
     """Measure for a drift target m: m in K(delta) (free) or K(delta)+ (chamber)."""
     point = invert_drift(cartan, delta, m)
@@ -357,11 +347,12 @@ def harmonicity_residual(measure: CentralMeasure, n_max: int) -> float:
     g = paths.build_growth_graph(measure.cartan, measure.kind, measure.delta,
                                  n_max + 1)
     worst = 0.0
+    p_next = {lam: measure.p(lam, 0) for lam in g.levels[0]}
     for n in range(n_max + 1):
+        p_cur, p_next = p_next, {mu: measure.p(mu, n + 1) for mu in g.levels[n + 1]}
         for lam in g.levels[n]:
-            lhs = measure.p(lam, n)
-            rhs = sum(e * measure.p(mu, n + 1) for mu, e in g.edges[n][lam])
-            worst = max(worst, abs(lhs - rhs))
+            rhs = sum(e * p_next[mu] for mu, e in g.edges[n][lam])
+            worst = max(worst, abs(p_cur[lam] - rhs))
     return worst
 
 
@@ -474,10 +465,6 @@ def harmonic_function_check(cartan: CartanDatum, delta, t, n_max: int = 4) -> fl
 
 
 # -- exports ---------------------------------------------------------------------------
-
-
-def measure_to_json(measure: CentralMeasure) -> str:
-    return json.dumps(measure.to_jsonable(), sort_keys=True)
 
 
 def kernel_rows_csv(measure: CentralMeasure, lams) -> str:

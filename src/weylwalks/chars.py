@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionCap, OrderViolation
-from .rootdata import CartanDatum, WeylElement, weight, wadd, wsub, wzero
+from .errors import DimensionCap, InvalidWeight, OrderViolation, format_weight
+from .rootdata import CartanDatum, WeylElement, int_weight, weight, wadd, wsub, wzero
 
 DEFAULT_DIM_CAP = 10**6
 
@@ -37,12 +37,14 @@ class WeightMultiset:
 
 
 def _check_dominant_integral(cartan, lam):
-    lam = weight(lam)
+    """lam as an int tuple; InvalidWeight unless it is a dominant integral
+    weight of the right rank."""
+    top = int_weight(lam)
     if len(lam) != cartan.rank:
-        raise ValueError(f"weight {lam} has wrong rank")
-    if not cartan.is_dominant(lam) or any(c.denominator != 1 for c in lam):
-        raise ValueError(f"{lam} is not a dominant integral weight")
-    return lam
+        raise InvalidWeight(f"weight {format_weight(lam)} has wrong rank")
+    if top is None or min(top) < 0:
+        raise InvalidWeight(f"{format_weight(lam)} is not a dominant integral weight")
+    return top
 
 
 def weyl_dim(cartan: CartanDatum, lam) -> int:
@@ -58,14 +60,6 @@ def _weyl_dim(cartan, lam):
         num *= cartan.pairing(lam_rho, alpha) / cartan.pairing(cartan.rho, alpha)
     assert num.denominator == 1 and num > 0
     return int(num)
-
-
-def _integer_alpha_coords(cartan, v):
-    """Simple-root coordinates of v if they are all integers, else None."""
-    coords = cartan.alpha_coords(v)
-    if any(c.denominator != 1 for c in coords):
-        return None
-    return tuple(int(c) for c in coords)
 
 
 def weight_multiplicities(cartan: CartanDatum, lam, dim_cap: int = DEFAULT_DIM_CAP) -> WeightMultiset:
@@ -84,8 +78,9 @@ def weight_multiplicities(cartan: CartanDatum, lam, dim_cap: int = DEFAULT_DIM_C
 
 @lru_cache(maxsize=None)
 def _weight_multiplicities(cartan, lam):
+    lam = weight(lam)
     lowest = cartan.apply(cartan.w0, lam)
-    kmax = _integer_alpha_coords(cartan, wsub(lam, lowest))
+    kmax = cartan.int_alpha_coords(wsub(lam, lowest))
     assert kmax is not None and all(k >= 0 for k in kmax)
 
     dominants = []
@@ -136,23 +131,14 @@ def _dominant(cartan, v):
 
 
 @lru_cache(maxsize=None)
-def _eval_table(cartan, lam, mu):
-    """(exponents, multiplicities) arrays for S_{lambda,mu}: one row per weight.
-
-    Exponent row = simple-root coordinates of mu - gamma, nonnegative integers.
-    """
-    ms = _weight_multiplicities(cartan, lam)
-    diff = _integer_alpha_coords(cartan, wsub(mu, lam))
-    if diff is None or any(k < 0 for k in diff):
-        raise OrderViolation(f"{mu} is not >= {lam} in the root order")
-    exps = []
-    mults = []
-    for gamma, m in sorted(ms.entries.items()):
-        k = _integer_alpha_coords(cartan, wsub(mu, gamma))
-        assert k is not None and all(x >= 0 for x in k)
-        exps.append(k)
-        mults.append(m)
-    return np.array(exps, dtype=float), np.array(mults, dtype=float)
+def _module_table(cartan, lam):
+    """(exponents, multiplicities) of V(lambda), lambda an int tuple: one row per
+    weight gamma in sorted order, exponents alpha(lambda - gamma) as ints.
+    S_{lambda,mu} adds alpha(mu - lambda) to every row."""
+    rows = sorted(_weight_multiplicities(cartan, lam).entries.items())
+    exps = [cartan.int_alpha_coords(wsub(lam, gamma)) for gamma, _ in rows]
+    assert all(k is not None and min(k) >= 0 for k in exps)
+    return np.array(exps, dtype=np.int64), np.array([m for _, m in rows], dtype=float)
 
 
 def monomial(t, exponents) -> float:
@@ -173,11 +159,30 @@ def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
     term contributes t^(mu-lambda), so the value equals dim V(lambda) at t = 1
     and is 1 at mu = lambda, t = 0 under the 0**0 = 1 convention.
     """
-    lam = _check_dominant_integral(cartan, lam)
-    exps, mults = _eval_table(cartan, lam, weight(mu))
+    top = _check_dominant_integral(cartan, lam)
+    shift = cartan.int_alpha_coords(tuple(m - c for m, c in zip(mu, top)))
+    if shift is None or any(k < 0 for k in shift):
+        raise OrderViolation(
+            f"{format_weight(mu)} is not >= {format_weight(top)} in the root order")
+    exps, mults = _module_table(cartan, top)
     tv = np.asarray([float(x) for x in t], dtype=float)
-    vals = tv[None, :] ** exps
-    return float(np.dot(mults, np.prod(vals, axis=1)))
+    return float(np.dot(mults, np.prod(tv ** (exps + shift), axis=1)))
+
+
+def free_exponent(cartan: CartanDatum, delta, w: WeylElement, n: int, gamma):
+    """alpha(n delta - w gamma) as ints, the exponent of psi(t,w)(e^gamma, n),
+    for int tuples delta and gamma; None when it is off the root lattice."""
+    wg = cartan.apply(w, gamma)
+    return cartan.int_alpha_coords(tuple(n * d - x for d, x in zip(delta, wg)))
+
+
+@lru_cache(maxsize=None)
+def _free_exponents(cartan, delta, w):
+    """{gamma: alpha(delta - w gamma)} over the weights gamma of V(delta) as
+    int tuples, in sorted order: the free walk's one-step exponents."""
+    top = int_weight(delta)
+    gammas = sorted(int_weight(g) for g in weight_multiplicities(cartan, delta).entries)
+    return {gamma: free_exponent(cartan, top, w, 1, gamma) for gamma in gammas}
 
 
 # -- decomposition into irreducibles -----------------------------------------
@@ -287,10 +292,9 @@ def wedge_sequence_values(cartan: CartanDatum, delta, t, w: WeylElement) -> list
     out = []
     for k in range(n + 1):
         acc = 0.0
-        kdelta = tuple(k * c for c in delta)
         for gamma, m in exterior_power_weights(cartan, delta, k).items():
-            e = cartan.alpha_coords(wsub(kdelta, cartan.apply(w, gamma)))
-            assert all(c >= 0 and c.denominator == 1 for c in e)
+            e = free_exponent(cartan, delta, w, k, int_weight(gamma))
+            assert min(e) >= 0
             acc += m * monomial(tv, e)
         out.append(acc / s_delta**k)
     return out
@@ -348,41 +352,18 @@ def _weyl_pack(cartan):
     return mats, dets, to_alpha, rho
 
 
-def weyl_numerator(cartan: CartanDatum, lam, log_t: np.ndarray) -> float:
-    """N_lambda(t) = sum_w det(w) t^((lam+rho) - w(lam+rho)) for t in (0,1)^d.
+def weyl_numerator_batch(cartan: CartanDatum, lams, log_t: np.ndarray) -> np.ndarray:
+    """N_lambda(t) = sum_w det(w) t^((lam+rho) - w(lam+rho)) for t in (0,1)^d,
+    for a stack of weights in one vectorized pass.
 
     Exponents are the nonnegative simple-root coordinates; `log_t` is the
     componentwise log of t.  By the Weyl character formula,
     S_{lam,lam}(t) = N_lambda(t)/N_0(t); the cost is |W| terms, independent
     of dim V(lambda).
     """
-    return float(weyl_numerator_batch(cartan, [lam], log_t)[0])
-
-
-def weyl_numerator_batch(cartan: CartanDatum, lams, log_t: np.ndarray) -> np.ndarray:
-    """N_lambda(t) for a stack of weights in one vectorized pass."""
     mats, dets, to_alpha, rho = _weyl_pack(cartan)
     x = np.array([[float(c) for c in lam] for lam in lams]) + rho
     images = np.einsum("wij,mj->mwi", mats, x)
     exps = (x[:, None, :] - images) @ to_alpha.T
     return np.exp(exps @ log_t) @ dets
 
-
-# -- exports ------------------------------------------------------------------
-
-
-def character_jsonable(ms: WeightMultiset) -> list:
-    return [
-        {"weight": [str(c) for c in gamma], "mult": m}
-        for gamma, m in sorted(ms.entries.items())
-    ]
-
-
-def minor_report_rows(cartan, delta, samples) -> list:
-    """CSV rows (t, w_word, kmax, min_minor) for a batch of minor checks."""
-    rows = [("t", "w_word", "kmax", "min_minor")]
-    for t, w, kmax in samples:
-        val = total_positivity_min_minor(cartan, delta, t, w, kmax)
-        word = "-".join(str(i + 1) for i in w.word) or "e"
-        rows.append((" ".join(repr(float(x)) for x in t), word, str(kmax), repr(val)))
-    return rows

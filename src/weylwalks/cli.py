@@ -135,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'all' or comma list of criterion numbers 1..10")
     ve.add_argument("--type", dest="type_filter", default=None,
                     help="restrict to one suite type, e.g. A1")
-    ve.add_argument("--delta", type=_coords, default=None,
-                    help="accepted for symmetry; the suite fixes its deltas")
     return parser
 
 
@@ -156,7 +154,7 @@ def parse(argv) -> RunConfig:
                 build_parser().error(f"unknown criteria {unknown}")
         return RunConfig(command="verify",
                          params={"criteria": criteria, "types": ns.type_filter})
-    for key in ("steps", "nmax"):
+    for key in ("steps", "nmax", "n"):
         if getattr(ns, key, 0) < 0:
             build_parser().error(f"--{key} must be nonnegative, got {getattr(ns, key)}")
     cartan = ns.cartan

@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def format_weight(v) -> str:
+    """A weight as error text: (2, -1/2), rationals printed as p/q."""
+    return "(" + ", ".join(str(c) for c in v) + ")"
+
+
 class WeylWalksError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -19,6 +24,10 @@ class LevelCap(WeylWalksError):
 
 class EnumerationCap(WeylWalksError):
     """An exact enumeration would exceed the configured word cap."""
+
+
+class InvalidWeight(WeylWalksError, ValueError):
+    """A weight argument is not dominant integral, of the right rank or nonzero."""
 
 
 class OrderViolation(WeylWalksError):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
@@ -76,14 +75,10 @@ class SimReport:
 
 def _free_letter_probs(measure):
     """Probability of each crystal letter under the free measure."""
-    cartan = measure.cartan
-    cb = paths.crystal(cartan, measure.delta)
-    probs = []
-    for p in cb.paths:
-        e = cartan.alpha_coords(
-            wsub(measure.delta, cartan.apply(measure.point.w, p.endpoint())))
-        probs.append(chars.monomial(measure.point.t, e) / measure.point.s_delta)
-    arr = np.array(probs)
+    point = measure.point
+    exps = chars._free_exponents(measure.cartan, measure.delta, point.w)
+    ends, _ = paths._letter_table(measure.cartan, measure.delta)
+    arr = np.array([chars.monomial(point.t, exps[end]) / point.s_delta for end in ends])
     assert abs(arr.sum() - 1.0) < 1e-9
     return arr / arr.sum()
 
@@ -300,6 +295,3 @@ def trajectory_csv(traj: Trajectory) -> str:
         writer.writerow([k] + [str(c) for c in pos])
     return buf.getvalue()
 
-
-def report_to_json(report: SimReport) -> str:
-    return json.dumps(report.to_jsonable(), sort_keys=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionCap, LevelCap, NotAdmissible
-from .rootdata import CartanDatum, weight, wadd, wsub, wscale, wzero
+from .rootdata import CartanDatum, int_weight, weight, wadd, wsub, wscale, wzero
 from . import chars
 
 DEFAULT_LEVEL_CAP = 200000
@@ -282,12 +282,10 @@ def _letter_table(cartan, delta):
     -floor_b[k]; the ceiling keeps the test exact without relying on that.
     """
     ends, floors = _letter_data(cartan, delta)
-    int_ends = []
-    for e in ends:
-        assert all(c.denominator == 1 for c in e)
-        int_ends.append(tuple(int(c) for c in e))
+    int_ends = tuple(int_weight(e) for e in ends)
+    assert None not in int_ends
     thresholds = tuple(tuple(-math.floor(f) for f in floor) for floor in floors)
-    return tuple(int_ends), thresholds
+    return int_ends, thresholds
 
 
 def chamber_moves(cartan, delta, lam) -> dict:
@@ -468,10 +466,9 @@ def highest_weight_witness(cartan: CartanDatum, delta, subset, i: int,
         ndelta = wscale(n, delta)
         hits = []
         for lam in g.levels[n]:
-            k = cartan.alpha_coords(wsub(ndelta, lam))
-            if any(c.denominator != 1 or c < 0 for c in k):
+            k = cartan.int_alpha_coords(wsub(ndelta, lam))
+            if k is None or any(c < 0 for c in k):
                 continue
-            k = tuple(int(c) for c in k)
             if k[i] != 1:
                 continue
             if all(k[j] == 0 for j in range(cartan.rank) if j != i and j not in allowed):

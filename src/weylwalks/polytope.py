@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import NotInPolytope
+from .errors import InvalidWeight, NotInPolytope, format_weight
 from .rootdata import CartanDatum, WeylElement, dominant_representative, \
     weight, wsub
 from . import chars
@@ -163,7 +163,7 @@ def admissible_subsets(cartan: CartanDatum, delta) -> list:
     sorted by (cardinality, indices).  The empty set is always included."""
     delta = weight(delta)
     if all(c == 0 for c in delta):
-        raise ValueError("delta must be nonzero")
+        raise InvalidWeight("delta must be nonzero")
     out = []
     for r in range(cartan.rank + 1):
         for subset in combinations(range(cartan.rank), r):
@@ -265,7 +265,7 @@ def locate(cartan: CartanDatum, delta, m, strict: bool = True) -> LocateResult:
     y, w = dominant_representative(cartan, mq)
     if not inside:
         if strict:
-            raise NotInPolytope(f"{m} is outside K({delta})")
+            raise NotInPolytope(f"{format_weight(m)} is outside K{format_weight(delta)}")
         return LocateResult(inside=False, y=y, w=w, face=None)
 
     # Project away sub-threshold support noise so face tests are exact.

@@ -10,6 +10,7 @@ queries trivial and exactly testable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -41,6 +42,20 @@ _CLASSICAL = {
 def weight(coords) -> Weight:
     """Coerce an iterable of numbers into an exact weight tuple."""
     return tuple(Fraction(c) for c in coords)
+
+
+def int_weight(coords):
+    """coords as a tuple of ints, or None when one of them is not an integer."""
+    out = []
+    for x in coords:
+        if not isinstance(x, int):
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
+            if x.denominator != 1:
+                return None
+            x = x.numerator
+        out.append(x)
+    return tuple(out)
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
@@ -182,6 +197,11 @@ class CartanDatum:
         self.alpha = tuple(tuple(Fraction(x) for x in row) for row in self.cartan)
         at = tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank))
         self._omega_to_alpha = _invert_rational_matrix(at)
+        # den * C^-1 as ints: integer root coordinates by exact division
+        self._alpha_den = math.lcm(*(x.denominator for row in self._omega_to_alpha
+                                     for x in row))
+        self._omega_to_alpha_int = tuple(tuple(int(x * self._alpha_den) for x in row)
+                                         for row in self._omega_to_alpha)
         # Gram matrix of the simple roots: (alpha_i, alpha_j) = A_ij / d_j
         gram = [[self.cartan[i][j] / self.symmetrizer[j] for j in range(rank)]
                 for i in range(rank)]
@@ -216,8 +236,9 @@ class CartanDatum:
     # -- basic linear algebra on weights --------------------------------
 
     def reflect(self, v: Weight, i: int) -> Weight:
-        ci = v[i]
-        return tuple(v[k] - ci * self.alpha[i][k] for k in range(self.rank))
+        """s_i(v); int coordinates stay ints."""
+        ci, row = v[i], self.cartan[i]
+        return tuple(v[k] - ci * row[k] for k in range(self.rank))
 
     def apply(self, w: WeylElement, v: Weight) -> Weight:
         return _mat_apply(w.matrix, v)
@@ -237,6 +258,20 @@ class CartanDatum:
         c = self._omega_to_alpha
         return tuple(sum(c[i][j] * v[j] for j in range(self.rank))
                      for i in range(self.rank))
+
+    def int_alpha_coords(self, v):
+        """Simple-root coordinates of v as ints, or None when v is not in the
+        root lattice (a non-integral v never is)."""
+        ints = int_weight(v)
+        if ints is None:
+            return None
+        out = []
+        for row in self._omega_to_alpha_int:
+            q, r = divmod(sum(a * x for a, x in zip(row, ints)), self._alpha_den)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
 
     def from_alpha(self, coords) -> Weight:
         """Weight with the given simple-root coordinates, in omega-coordinates."""

@@ -16,8 +16,6 @@ from weylwalks import (
     build_root_system,
     c_harmonic_level,
     central_measure,
-    central_measure_from_point,
-    drift,
     harmonic_function_check,
     harmonicity_residual,
     invert_drift,
@@ -30,9 +28,9 @@ from weylwalks import (
     wzero,
 )
 from weylwalks.boundary import (
+    CentralMeasure,
     _face_newton,
     kernel_rows_csv,
-    measure_to_json,
     stabilizer_set,
 )
 
@@ -86,6 +84,40 @@ def test_psi_rejects_non_weights():
         psi_eval(pt, (2,), 1)
 
 
+def test_psi_saturation_test_matches_path_counts():
+    # gamma is a weight at level n iff the free growth graph reaches it; the
+    # box holds half-integral points and points off the coset n delta + Q
+    from itertools import product
+
+    from weylwalks import chars
+    from weylwalks.paths import count_paths
+
+    rng = np.random.default_rng(3)
+    for cartan, delta in SUITE:
+        pt = random_boundary_point(cartan, delta, rng)
+        box = [Fraction(k, 2) for k in range(-10, 11)]
+        for n in range(5):
+            for gamma in product(box, repeat=cartan.rank):
+                reachable = count_paths(cartan, "free", delta, gamma, n) > 0
+                try:
+                    value = psi_eval(pt, gamma, n)
+                except NotAWeight:
+                    assert not reachable, (cartan, delta, gamma, n)
+                    continue
+                assert reachable, (cartan, delta, gamma, n)
+                # the Fraction form of the exponent gives the same float
+                ndelta = tuple(n * c for c in delta)
+                e = cartan.alpha_coords(tuple(a - b for a, b in
+                                              zip(ndelta, cartan.apply(pt.w, gamma))))
+                assert value == chars.monomial(pt.t, e) / pt.s_delta**n
+
+
+def test_psi_not_a_weight_detail_is_readable():
+    pt = boundary_point(A2, (1, 0), [0.5, 0.5])
+    with pytest.raises(NotAWeight, match=r"^\(1/2, 0\) is not a weight at level 1$"):
+        psi_eval(pt, (Fraction(1, 2), 0), 1)
+
+
 def test_psi_multiplicative():
     rng = np.random.default_rng(1)
     from weylwalks.paths import build_growth_graph
@@ -109,7 +141,7 @@ def test_psi_multiplicative():
 def test_drift_at_ones_is_zero():
     for cartan, delta in SUITE:
         pt = boundary_point(cartan, delta, [1.0] * cartan.rank)
-        assert max(abs(x) for x in drift(pt)) < 1e-14
+        assert max(abs(x) for x in pt.drift) < 1e-14
 
 
 def test_drift_at_zeros_is_delta():
@@ -318,7 +350,7 @@ def test_chamber_marginal_masses_sum_to_one():
     rng = np.random.default_rng(9)
     for cartan, delta in SUITE:
         pt = random_boundary_point(cartan, delta, rng, chamber=True)
-        meas = central_measure_from_point("chamber", pt)
+        meas = CentralMeasure("chamber", pt)
         g = build_growth_graph(cartan, "chamber", delta, 4)
         for n in range(5):
             mass = sum(cnt * meas.p(lam, n) for lam, cnt in g.levels[n].items())
@@ -331,19 +363,42 @@ def test_harmonicity_residuals_random_points():
                           (B2, weight((0, 1)))]:
         for kind in ("free", "chamber"):
             pt = random_boundary_point(cartan, delta, rng, chamber=(kind == "chamber"))
-            meas = central_measure_from_point(kind, pt)
+            meas = CentralMeasure(kind, pt)
             assert harmonicity_residual(meas, 3) < 1e-12
 
 
 def test_harmonicity_a2_interior_example():
     pt = boundary_point(A2, (1, 0), (0.3, 0.7))
-    meas = central_measure_from_point("chamber", pt)
+    meas = CentralMeasure("chamber", pt)
     assert harmonicity_residual(meas, 3) < 1e-12
+
+
+def _per_edge_residual(measure, n_max):
+    """Harmonicity residual with p evaluated once per incoming edge."""
+    from weylwalks.paths import build_growth_graph
+
+    g = build_growth_graph(measure.cartan, measure.kind, measure.delta, n_max + 1)
+    worst = 0.0
+    for n in range(n_max + 1):
+        for lam in g.levels[n]:
+            lhs = measure.p(lam, n)
+            rhs = sum(e * measure.p(mu, n + 1) for mu, e in g.edges[n][lam])
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def test_harmonicity_residual_matches_per_edge_reference():
+    rng = np.random.default_rng(21)
+    for cartan, delta in SUITE:
+        for kind in ("free", "chamber"):
+            pt = random_boundary_point(cartan, delta, rng, chamber=(kind == "chamber"))
+            meas = CentralMeasure(kind, pt)
+            assert harmonicity_residual(meas, 3) == _per_edge_residual(meas, 3)
 
 
 def test_harmonicity_detector_catches_perturbation():
     pt = boundary_point(A1, (1,), (0.5,))
-    meas = central_measure_from_point("chamber", pt)
+    meas = CentralMeasure("chamber", pt)
 
     class Broken:
         kind = meas.kind
@@ -363,7 +418,7 @@ def test_kernel_time_homogeneity():
     rng = np.random.default_rng(11)
     for cartan, delta in [(A2, weight((1, 0))), (B2, weight((0, 1)))]:
         pt = random_boundary_point(cartan, delta, rng, chamber=True)
-        meas = central_measure_from_point("chamber", pt)
+        meas = CentralMeasure("chamber", pt)
         g = build_growth_graph(cartan, "chamber", delta, 4)
         for n in range(3):
             for lam in g.levels[n]:
@@ -437,7 +492,7 @@ def test_boundary_point_validation():
 
 def test_measure_json_and_kernel_csv():
     meas = central_measure(A1, (1,), "chamber", (Fraction(1, 3),))
-    doc = json.loads(measure_to_json(meas))
+    doc = json.loads(json.dumps(meas.to_jsonable(), sort_keys=True))
     assert doc["type"] == "A1" and doc["kind"] == "chamber"
     assert doc["t"] == [repr(0.5)]
     csv_text = kernel_rows_csv(meas, [(0,), (1,)])

@@ -2,12 +2,14 @@
 decompositions with their exact oracles, total positivity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from weylwalks import (
     DimensionCap,
+    InvalidWeight,
     OrderViolation,
     build_root_system,
     evaluate_S,
@@ -24,7 +26,7 @@ from weylwalks.chars import (
     convolve_multisets,
     exterior_power_weights,
     monomial,
-    weyl_numerator,
+    weyl_numerator_batch,
     wedge_sequence_values,
 )
 A1 = build_root_system("A", 1)
@@ -109,6 +111,53 @@ def test_evaluate_S_top_term_at_zero():
 def test_evaluate_S_order_violation():
     with pytest.raises(OrderViolation):
         evaluate_S(A2, (1, 1), (0, 0), [0.5, 0.5])
+
+
+def _fraction_table_S(cartan, lam, mu, t):
+    """The per-(lambda, mu) evaluation: exponents alpha(mu - gamma) computed in
+    Fractions for every weight gamma, then the same numpy power, prod and dot."""
+    ms = weight_multiplicities(cartan, lam)
+    exps, mults = [], []
+    for gamma, m in sorted(ms.entries.items()):
+        k = cartan.alpha_coords(tuple(Fraction(a) - b for a, b in zip(mu, gamma)))
+        assert all(c.denominator == 1 and c >= 0 for c in k)
+        exps.append([int(c) for c in k])
+        mults.append(m)
+    exps, mults = np.array(exps, dtype=float), np.array(mults, dtype=float)
+    tv = np.asarray([float(x) for x in t], dtype=float)
+    return float(np.dot(mults, np.prod(tv[None, :] ** exps, axis=1)))
+
+
+@pytest.mark.parametrize("cartan,lams", [
+    (A2, [(0, 0), (1, 0), (1, 1), (2, 1)]),
+    (B2, [(1, 0), (0, 1), (1, 1)]),
+    (G2, [(1, 0), (0, 1)]),
+    (build_root_system("A", 3), [(1, 0, 0), (0, 1, 0), (1, 0, 1)]),
+    (build_root_system("C", 3), [(1, 0, 0), (0, 0, 1)]),
+])
+def test_evaluate_S_matches_fraction_table_reference(cartan, lams):
+    rng = np.random.default_rng(17)
+    ts = [[0.0] * cartan.rank, [1.0] * cartan.rank,
+          [0.0, 1.0] + [0.5] * (cartan.rank - 2)]
+    ts += [list(rng.random(cartan.rank)) for _ in range(3)]
+    for lam in lams:
+        for _ in range(4):
+            shift = [int(k) for k in rng.integers(0, 3, cartan.rank)]
+            mu = tuple(a + b for a, b in zip(weight(lam), cartan.from_alpha(shift)))
+            for t in ts:
+                assert evaluate_S(cartan, lam, mu, t) == _fraction_table_S(cartan, lam, mu, t)
+
+
+def test_invalid_weights_raise_readable_invalid_weight():
+    for lam in [(-1, 1), (Fraction(1, 2), 0), (1, 0, 0)]:
+        with pytest.raises(InvalidWeight) as exc:
+            evaluate_S(A2, lam, (2, 2), [0.5, 0.5])
+        assert isinstance(exc.value, ValueError)
+        assert "Fraction" not in str(exc.value)
+    with pytest.raises(InvalidWeight, match=r"^\(1/2, 0\) is not a dominant integral"):
+        weyl_dim(A2, (Fraction(1, 2), 0))
+    with pytest.raises(OrderViolation, match=r"^\(1, 1\) is not >= \(2, 2\) in the root order$"):
+        evaluate_S(A2, (2, 2), weight((1, 1)), [0.5, 0.5])
 
 
 def test_monomial_zero_conventions():
@@ -247,21 +296,17 @@ def test_total_positivity_random_sweep_a2():
 
 
 def test_character_json_export():
-    from weylwalks.chars import character_jsonable
-
-    doc = character_jsonable(weight_multiplicities(A1, (1,)))
+    ms = weight_multiplicities(A1, (1,))
+    doc = [{"weight": [str(c) for c in gamma], "mult": m}
+           for gamma, m in sorted(ms.entries.items())]
     assert doc == [{"weight": ["-1"], "mult": 1}, {"weight": ["1"], "mult": 1}]
 
 
 def test_minor_report_rows():
-    from weylwalks.chars import minor_report_rows
-
-    rows = minor_report_rows(A1, weight((1,)),
-                             [([1.0], A1.identity, 2),
-                              ([0.5], A1.simple_reflection(0), 2)])
-    assert rows[0] == ("t", "w_word", "kmax", "min_minor")
-    assert rows[1][1] == "e" and rows[2][1] == "1"
-    assert all(float(r[3]) >= -1e-9 for r in rows[1:])
+    samples = [([1.0], A1.identity, 2), ([0.5], A1.simple_reflection(0), 2)]
+    assert [w.word for _, w, _ in samples] == [(), (0,)]
+    for t, w, kmax in samples:
+        assert total_positivity_min_minor(A1, weight((1,)), t, w, kmax) >= -1e-9
 
 
 def test_weyl_numerator_ratio_matches_direct_character():
@@ -272,7 +317,7 @@ def test_weyl_numerator_ratio_matches_direct_character():
         for _ in range(5):
             t = 0.05 + 0.9 * rng.random(cartan.rank)
             log_t = np.log(t)
-            ratio = weyl_numerator(cartan, lam, log_t) / weyl_numerator(
-                cartan, wzero(cartan.rank), log_t)
+            num, den = weyl_numerator_batch(cartan, [lam, wzero(cartan.rank)], log_t)
+            ratio = num / den
             direct = evaluate_S(cartan, lam, lam, t)
             assert ratio == pytest.approx(direct, rel=1e-9)

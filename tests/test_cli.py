@@ -161,6 +161,8 @@ def test_byte_stable_output(capsys):
       "--steps", "-1", "--seed", "1"], "--steps"),
     (["graph", "build", "--type", "A1", "--delta", "1", "--kind", "chamber",
       "--nmax", "-3"], "--nmax"),
+    (["measure", "eval", "--type", "A2", "--delta", "1,1", "--mode", "chamber",
+      "--m", "0.3,0.3", "--n=-1"], "--n"),
 ])
 def test_negative_count_is_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -170,3 +172,45 @@ def test_negative_count_is_usage_error(capsys, argv, flag):
     assert out.out == ""
     assert f"{flag} must be nonnegative, got -" in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("mode,m,lam", [("free", "0.3,0.3", "1,1"),
+                                        ("chamber", "0.3,0.2", "2,2")])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_kernel_rows_print_plain_floats(capsys, mode, m, lam, fmt):
+    code, out, _ = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
+                           "--mode", mode, "--m", m, "--lambda", lam, "--n", "3",
+                           "--format", fmt)
+    assert code == 0
+    assert "np." not in out
+    if fmt == "json":
+        probs = list(json.loads(out)["kernel_row"].values())
+    else:
+        probs = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert probs and sum(float(q) for q in probs) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("args,detail", [
+    (["--delta=-1,1", "--m", "0,0"], "(-1, 1) is not a dominant integral weight"),
+    (["--delta", "0,0", "--m", "0,0"], "delta must be nonzero"),
+    (["--delta", "1,1", "--m", "0.3,0.3", "--lambda=-1,2"],
+     "(-1, 2) is not a dominant integral weight"),
+])
+def test_domain_input_errors_exit_2(capsys, args, detail):
+    code, out, err = run_cli(capsys, "measure", "eval", "--type", "A2",
+                             "--mode", "chamber", *args)
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out) == {"error": "InvalidWeight", "detail": detail}
+
+
+@pytest.mark.parametrize("args,error,detail", [
+    (["--mode", "chamber", "--lambda", "2,2"], "OrderViolation",
+     "(1, 1) is not >= (2, 2) in the root order"),
+    (["--mode", "free", "--lambda", "1/2,0"], "NotAWeight",
+     "(1/2, 0) is not a weight at level 1"),
+])
+def test_error_details_print_plain_weights(capsys, args, error, detail):
+    code, out, _ = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
+                           "--m", "0.3,0.3", *args)
+    assert code == 2
+    assert json.loads(out) == {"error": error, "detail": detail}

@@ -1,5 +1,6 @@
 """Samplers, LLN checks, and exact Pitman equality in law."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from weylwalks import (
     boundary_point,
     build_root_system,
     central_measure,
-    central_measure_from_point,
     lln_check,
     pitman_equality_in_law,
     random_boundary_point,
@@ -25,7 +25,6 @@ from weylwalks.errors import EnumerationCap, NotDominantDrift
 from weylwalks.montecarlo import (
     _ChamberStepper,
     _free_letter_probs,
-    report_to_json,
     trajectory_csv,
 )
 from weylwalks.paths import _letter_data, build_growth_graph, crystal
@@ -41,7 +40,7 @@ def interior_measure(cartan, delta, kind, seed=0):
     rng = np.random.default_rng(seed)
     pt = random_boundary_point(cartan, delta, rng, chamber=(kind == "chamber"),
                                force_support=range(cartan.rank), force_ones=())
-    return central_measure_from_point(kind, pt)
+    return CentralMeasure(kind, pt)
 
 
 # -- samplers -------------------------------------------------------------------
@@ -93,7 +92,7 @@ def test_chamber_stepper_matches_direct_kernel():
     for cartan, delta in [(A1, weight((2,))), (A2, weight((1, 1))), (B2, weight((1, 0)))]:
         pt = random_boundary_point(cartan, delta, rng, chamber=True,
                                    force_support=range(cartan.rank), force_ones=())
-        meas = central_measure_from_point("chamber", pt)
+        meas = CentralMeasure("chamber", pt)
         stepper = _ChamberStepper(meas)
         assert not stepper.all_ones and not stepper.has_zero
         g = build_growth_graph(cartan, "chamber", delta, 3)
@@ -291,5 +290,5 @@ def test_trajectory_csv_and_report_json():
     assert lines[0] == "step,omega_1"
     assert len(lines) == 7
     report = lln_check(meas, 1000, 1, seed=1)
-    doc = report_to_json(report)
+    doc = json.dumps(report.to_jsonable(), sort_keys=True)
     assert '"passed"' in doc
