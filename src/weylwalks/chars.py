@@ -10,6 +10,7 @@ the convention 0**0 = 1, so boundary parameters are safe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionCap, InvalidWeight, OrderViolation, format_weight
-from .rootdata import CartanDatum, WeylElement, int_weight, weight, wadd, wsub, wzero
+from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, weight, \
+    wadd, wsub, wzero
 
 DEFAULT_DIM_CAP = 10**6
 
@@ -36,20 +38,23 @@ class WeightMultiset:
         return iter(self.entries.items())
 
 
-def _check_dominant_integral(cartan, lam):
+def check_weight(cartan, lam, dim_cap=None):
     """lam as an int tuple; InvalidWeight unless it is a dominant integral
-    weight of the right rank."""
+    weight of the right rank, DimensionCap when dim V(lambda) exceeds dim_cap."""
     top = int_weight(lam)
     if len(lam) != cartan.rank:
         raise InvalidWeight(f"weight {format_weight(lam)} has wrong rank")
     if top is None or min(top) < 0:
         raise InvalidWeight(f"{format_weight(lam)} is not a dominant integral weight")
+    if dim_cap is not None and _weyl_dim(cartan, top) > dim_cap:
+        raise DimensionCap(f"dim V{format_weight(top)} = {_weyl_dim(cartan, top)} "
+                           f"exceeds cap {dim_cap}")
     return top
 
 
 def weyl_dim(cartan: CartanDatum, lam) -> int:
     """dim V(lambda) by the Weyl dimension formula, evaluated in exact rationals."""
-    return _weyl_dim(cartan, _check_dominant_integral(cartan, lam))
+    return _weyl_dim(cartan, check_weight(cartan, lam))
 
 
 @lru_cache(maxsize=None)
@@ -69,11 +74,7 @@ def weight_multiplicities(cartan: CartanDatum, lam, dim_cap: int = DEFAULT_DIM_C
     lambda - mu; non-dominant multiplicities come for free by W-invariance.
     Raises DimensionCap when dim V(lambda) exceeds `dim_cap`.
     """
-    lam = _check_dominant_integral(cartan, lam)
-    dim = _weyl_dim(cartan, lam)
-    if dim > dim_cap:
-        raise DimensionCap(f"dim V({lam}) = {dim} exceeds cap {dim_cap}")
-    return _weight_multiplicities(cartan, lam)
+    return _weight_multiplicities(cartan, check_weight(cartan, lam, dim_cap))
 
 
 @lru_cache(maxsize=None)
@@ -157,9 +158,10 @@ def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
 
     Requires mu - lambda in Q+ (OrderViolation otherwise); the gamma = lambda
     term contributes t^(mu-lambda), so the value equals dim V(lambda) at t = 1
-    and is 1 at mu = lambda, t = 0 under the 0**0 = 1 convention.
+    and is 1 at mu = lambda, t = 0 under the 0**0 = 1 convention.  Raises
+    DimensionCap before building the table of a module over DEFAULT_DIM_CAP.
     """
-    top = _check_dominant_integral(cartan, lam)
+    top = check_weight(cartan, lam, DEFAULT_DIM_CAP)
     shift = cartan.int_alpha_coords(tuple(m - c for m, c in zip(mu, top)))
     if shift is None or any(k < 0 for k in shift):
         raise OrderViolation(
@@ -229,8 +231,8 @@ def tensor_decompose(cartan: CartanDatum, lam, delta, dim_cap: int = DEFAULT_DIM
     Independent character oracle: convolve the two weight multisets, then peel
     highest weights.  sum_nu mult(nu) dim V(nu) = dim V(lambda) dim V(delta).
     """
-    lam = _check_dominant_integral(cartan, lam)
-    delta = _check_dominant_integral(cartan, delta)
+    lam = check_weight(cartan, lam)
+    delta = check_weight(cartan, delta)
     if _weyl_dim(cartan, lam) * _weyl_dim(cartan, delta) > dim_cap:
         raise DimensionCap("tensor product dimension exceeds cap")
     prod = convolve_multisets(
@@ -246,7 +248,7 @@ def exterior_power_weights(cartan: CartanDatum, delta, k: int) -> dict:
     Degree-k coefficient of prod_j (1 + x e^(gamma_j)) over the weight multiset
     of V(delta), i.e. all k-subset sums counted with multiplicity.
     """
-    delta = _check_dominant_integral(cartan, delta)
+    delta = check_weight(cartan, delta)
     if not 0 <= k <= _weyl_dim(cartan, delta):
         raise ValueError(f"k={k} out of range 0..{_weyl_dim(cartan, delta)}")
     return _exterior_power_weights(cartan, delta, int(k))
@@ -285,7 +287,7 @@ def wedge_sequence_values(cartan: CartanDatum, delta, t, w: WeylElement) -> list
     a_k = sum_gamma mult(gamma) t^(k delta - w gamma) / S_delta(t)^k for
     k = 0..dim V(delta); each a_k is nonnegative.
     """
-    delta = _check_dominant_integral(cartan, delta)
+    delta = check_weight(cartan, delta)
     n = _weyl_dim(cartan, delta)
     s_delta = evaluate_S(cartan, delta, delta, t)
     tv = [float(x) for x in t]
@@ -338,32 +340,73 @@ def total_positivity_min_minor(cartan: CartanDatum, delta, t, w: WeylElement, km
     return toeplitz_min_minor(seq, kmax)
 
 
-# -- Weyl-formula evaluation (large weights, interior t) ----------------------
+# -- Weyl-formula evaluation (large weights, any t in [0,1]^d) ----------------
+
+ROW_TOL = 1e-12  # a chamber kernel row sums to 1 within this bound
 
 
 @lru_cache(maxsize=None)
-def _weyl_pack(cartan):
-    """Float pack (matrices, dets, omega->alpha, rho) for vectorized numerator sums."""
-    mats = np.array([[[float(x) for x in row] for row in w.matrix]
-                     for w in cartan.elements])
-    dets = np.array([float(cartan.det(w)) for w in cartan.elements])
+def _coset_pack(cartan, ones):
+    """The minimal coset representatives u of W_I\\W, I = ones, in enumeration
+    order (all of W for I = ()), their float matrices and dets, the coroots of
+    Phi_I^+ as int rows (<v, alpha^vee> = row . v), omega->alpha and the guard."""
+    reps = tuple(dict.fromkeys(minimal_coset_rep(cartan, w, ones)
+                               for w in cartan.elements))
+    mats = np.array([[[float(x) for x in row] for row in u.matrix] for u in reps])
+    dets = np.array([float(cartan.det(u)) for u in reps])
+    units = [tuple(int(i == j) for j in range(cartan.rank)) for i in range(cartan.rank)]
+    coroots = tuple(
+        tuple(int(2 * cartan.pairing(e, a) / cartan.pairing(a, a)) for e in units)
+        for a in cartan.positive_roots
+        if all(c == 0 for k, c in enumerate(cartan.alpha_coords(a)) if k not in ones))
     to_alpha = np.array([[float(c) for c in row] for row in cartan._omega_to_alpha])
-    rho = np.array([float(c) for c in cartan.rho])
-    return mats, dets, to_alpha, rho
+    guard = np.abs(dets) * (len(reps) * 2.0**-53 / (ROW_TOL / 4))
+    return reps, mats, dets, coroots, to_alpha, guard
 
 
-def weyl_numerator_batch(cartan: CartanDatum, lams, log_t: np.ndarray) -> np.ndarray:
-    """N_lambda(t) = sum_w det(w) t^((lam+rho) - w(lam+rho)) for t in (0,1)^d,
-    for a stack of weights in one vectorized pass.
+def _exact_numerator(cartan, reps, coroots, lam, t) -> float:
+    """The same coset sum in integers, rounded once: t_i = p_i/q_i with q_i a
+    power of two, so the sum is an integer over prod q_i^M_i."""
+    mu = tuple(c + 1 for c in int_weight(lam))  # lam + rho
+    terms = []
+    for u in reps:
+        image = cartan.apply(u, mu)
+        coef = cartan.det(u) * math.prod(sum(c * x for c, x in zip(row, image))
+                                         for row in coroots)
+        terms.append((coef, cartan.int_alpha_coords(wsub(mu, image))))
+    ratios = [float(x).as_integer_ratio() for x in t]
+    top = [max(e[i] for _, e in terms) for i in range(cartan.rank)]
+    total = sum(coef * math.prod(p**k * q**(m - k) for (p, q), k, m in zip(ratios, e, top))
+                for coef, e in terms)
+    return total / math.prod(q**m for (_, q), m in zip(ratios, top))
 
-    Exponents are the nonnegative simple-root coordinates; `log_t` is the
-    componentwise log of t.  By the Weyl character formula,
-    S_{lam,lam}(t) = N_lambda(t)/N_0(t); the cost is |W| terms, independent
-    of dim V(lambda).
+
+def weyl_numerator_batch(cartan: CartanDatum, lams, t) -> np.ndarray:
+    """N_lambda(t) for a stack of weights at one t in [0,1]^d.
+
+    With I = {i : t_i = 1}, N_lambda(t) sums det(u) t^((lam+rho) - u(lam+rho))
+    prod_{alpha in Phi_I^+} <u(lam+rho), alpha^vee> over the minimal coset
+    representatives u of W_I\\W (parabolic Weyl character formula, Fulton-Harris
+    24; the Weyl numerator for I = ()): S_{lam,lam}(t) = N_lambda(t)/N_0(t) on the
+    whole box, at |W/W_I| terms whatever dim V(lambda), exponents in simple-root
+    coordinates, 0**0 = 1.  A weight whose float sum cancels, kappa = sum|terms| /
+    |sum| with the rounding bound kappa |W/W_I| 2^-53 over ROW_TOL / 4, is summed exactly.
     """
-    mats, dets, to_alpha, rho = _weyl_pack(cartan)
-    x = np.array([[float(c) for c in lam] for lam in lams]) + rho
+    t = [float(x) for x in t]
+    ones = tuple(i for i, x in enumerate(t) if x == 1.0)
+    zeros = [i for i, x in enumerate(t) if x == 0.0]
+    reps, mats, dets, coroots, to_alpha, guard = _coset_pack(cartan, ones)
+    x = np.array([[float(c) for c in lam] for lam in lams]) + 1.0  # lam + rho
     images = np.einsum("wij,mj->mwi", mats, x)
     exps = (x[:, None, :] - images) @ to_alpha.T
-    return np.exp(exps @ log_t) @ dets
-
+    terms = np.exp(exps @ np.log([ti if ti else 1.0 for ti in t]))
+    if zeros:
+        terms[(exps[:, :, zeros] > 0.5).any(axis=2)] = 0.0
+    if ones:
+        terms *= np.prod(images @ np.array(coroots, dtype=float).T, axis=2)
+    nums = terms @ dets
+    # terms are >= 0 before det(u): (terms @ guard) / nums is the bound over ROW_TOL / 4
+    for k, kept in enumerate((nums >= terms @ guard).tolist()):
+        if not kept:
+            nums[k] = _exact_numerator(cartan, reps, coroots, lams[k], t)
+    return nums

@@ -15,9 +15,10 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import WeylWalksError
-from .rootdata import cartan_type, weight
+from .rootdata import cartan_type, wadd, weight
 from . import acceptance, boundary, chars, montecarlo, paths, polytope
 
 ENV_DIM_CAP = "WEYLWALKS_DIM_CAP"
@@ -39,19 +40,23 @@ class RunConfig:
     enum_cap: int = 10**6
 
 
-def _fraction_token(token: str) -> Fraction:
+def _token(token: str, decimal):
+    """Integers and p/q as exact Fractions, decimals through `decimal`."""
     token = token.strip()
     try:
-        if "/" in token:
+        if "/" in token or ("." not in token and "e" not in token.lower()):
             return Fraction(token)
-        return Fraction(token) if "." not in token and "e" not in token.lower() \
-            else Fraction(float(token))
-    except (ValueError, ZeroDivisionError):
+        return decimal(Fraction(float(token)))  # Fraction rejects inf and nan
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"cannot parse coordinate {token!r}")
 
 
-def _coords(text: str) -> tuple:
-    return tuple(_fraction_token(tok) for tok in text.split(","))
+def _coords(text: str, decimal=Fraction) -> tuple:
+    return tuple(_token(tok, decimal) for tok in text.split(","))
+
+
+# decimal drift targets stay floats, which the polytope layer snaps at 1e-9
+_drift_coords = partial(_coords, decimal=float)
 
 
 def _cartan_token(text: str):
@@ -113,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     me = meas_sub.add_parser("eval")
     _add_common(me)
     me.add_argument("--mode", choices=("free", "chamber"), required=True)
-    me.add_argument("--m", type=_coords, required=True, help="drift target")
+    me.add_argument("--m", type=_drift_coords, required=True, help="drift target")
     me.add_argument("--lambda", dest="lam", type=_coords)
     me.add_argument("--n", type=int, default=1)
 
@@ -121,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     dr_sub = dr.add_subparsers(dest="verb", required=True)
     di = dr_sub.add_parser("invert")
     _add_common(di)
-    di.add_argument("--m", type=_coords, required=True)
+    di.add_argument("--m", type=_drift_coords, required=True)
 
     sa = top.add_parser("sample", help="sample a random walk")
     _add_common(sa)
     sa.add_argument("--mode", choices=("free", "chamber"), required=True)
-    sa.add_argument("--m", type=_coords, required=True)
+    sa.add_argument("--m", type=_drift_coords, required=True)
     sa.add_argument("--steps", type=int, required=True)
     sa.add_argument("--seed", type=int, required=True)
 
@@ -232,13 +237,17 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "drift-invert":
-        pt = boundary.invert_drift(cartan, delta, _floatish(p["m"]))
+        pt = boundary.invert_drift(cartan, delta, p["m"])
         print(_emit(_point_doc(pt)))
         return 0
 
     if config.command == "measure-eval":
-        meas = boundary.central_measure(cartan, delta, p["mode"], _floatish(p["m"]))
+        meas = boundary.central_measure(cartan, delta, p["mode"], p["m"])
         lam = weight(p["lam"]) if p.get("lam") is not None else delta
+        if p["mode"] == "chamber":
+            # lambda itself first, then V(lambda + delta), the largest module used
+            for top in (lam, wadd(lam, delta)):
+                chars.check_weight(cartan, top, config.dim_cap)
         if config.fmt == "csv":
             print(boundary.kernel_rows_csv(meas, [lam]), end="")
             return 0
@@ -254,7 +263,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "sample":
-        meas = boundary.central_measure(cartan, delta, p["mode"], _floatish(p["m"]))
+        meas = boundary.central_measure(cartan, delta, p["mode"], p["m"])
         traj = montecarlo.sample_trajectory(meas, p["steps"], seed=config.seed)
         if config.fmt == "csv":
             print(montecarlo.trajectory_csv(traj), end="")
@@ -267,11 +276,6 @@ def run(config: RunConfig) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {config.command}")
-
-
-def _floatish(coords):
-    # exact rationals pass through; the polytope layer snaps floats itself
-    return tuple(coords)
 
 
 def _point_doc(pt) -> dict:

@@ -6,8 +6,9 @@ RNG contract: numpy Generators seeded as default_rng([seed, rep]); per-rep
 streams are independent and the whole report is reproducible from
 (configuration, seed).  The chamber sampler walks on int weights and draws
 each move by inverse CDF, bisect_right(cdf, rng.random()) over the kernel
-row's cached CDF, bit-identical to Generator.choice(n, p=row): RNG streams
-and output bytes are unchanged.
+row's cached CDF, as Generator.choice(n, p=row) does.  Rows hold on all of
+[0,1]^d: interior t keeps its streams, t with some t_i = 1 follows the
+documented law itself, and faces (t_i = 0) and t near 1 are supported.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionCap, EnumerationCap, NotDominantDrift
-from .rootdata import CartanDatum, weight, wsub
+from .errors import EnumerationCap, NotDominantDrift
+from .rootdata import CartanDatum, weight
 from . import boundary, chars, paths
 
 LLN_PASS_THRESHOLD = 0.05  # at 5000 steps, about 3.5 standard errors (see lln_check)
-KERNEL_NUDGE = 1e-6        # mixed exact-1 components are nudged for long walks
-FALLBACK_DIM_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -84,69 +83,23 @@ def _free_letter_probs(measure):
 
 
 class _ChamberStepper:
-    """Homogeneous chamber kernel evaluated per visited vertex.
+    """Chamber kernel rows at one t in [0,1]^d, one cached step table per vertex.
 
-    t = 1: exact Weyl-dimension ratios.  Interior t (after nudging exact-1
-    components): Weyl-numerator ratios, |W| terms per vertex independently of
-    the vertex size.  t with zeros: direct S-evaluation with a dimension cap.
+    Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam}) with
+    S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels and a
+    row costs one batch of |W/W_I| terms per weight whatever dim V(lam).
     """
 
     def __init__(self, measure):
         self.cartan = measure.cartan
         self.delta = measure.delta
-        self.measure = measure
-        t = measure.point.t
-        self.all_ones = all(x == 1.0 for x in t)
-        self.has_zero = any(x == 0.0 for x in t)
-        if not self.all_ones and not self.has_zero:
-            self.nudged = tuple(min(x, 1.0 - KERNEL_NUDGE) for x in t)
-            self.log_t = np.log(np.array(self.nudged))
-            self.s_delta = chars.evaluate_S(self.cartan, self.delta, self.delta,
-                                            self.nudged)
-            # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
-            ends, _ = paths._letter_table(self.cartan, self.delta)
-            self.letter_monomials = [
-                chars.monomial(self.nudged,
-                               self.cartan.alpha_coords(wsub(self.delta, end)))
-                for end in ends
-            ]
+        self.t = measure.point.t
+        self.s_delta = measure.point.s_delta
+        # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
+        exps = chars._free_exponents(self.cartan, self.delta, self.cartan.identity)
+        ends, _ = paths._letter_table(self.cartan, self.delta)
+        self.letter_monomials = [chars.monomial(self.t, exps[end]) for end in ends]
         self.tables = {}
-
-    def row(self, lam):
-        """(targets, probabilities) out of the integral dominant weight lam."""
-        mus, probs, _ = self._row(lam)
-        return mus, probs
-
-    def _row(self, lam):
-        moves = sorted(paths.chamber_moves(self.cartan, self.delta, lam).items())
-        if self.all_ones:
-            z = chars.weyl_dim(self.cartan, self.delta)
-            dim_lam = chars.weyl_dim(self.cartan, lam)
-            probs = [len(bs) * chars.weyl_dim(self.cartan, mu) / (z * dim_lam)
-                     for mu, bs in moves]
-            probs = [float(q) for q in probs]
-        elif not self.has_zero:
-            # Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam})
-            # with S_{nu,nu}(t) = N_nu(t)/N_0(t) by the Weyl character formula
-            nums = chars.weyl_numerator_batch(
-                self.cartan, [lam] + [mu for mu, _ in moves], self.log_t)
-            probs = [
-                len(bs) * self.letter_monomials[bs[0]]
-                * nums[1 + k] / (self.s_delta * nums[0])
-                for k, (mu, bs) in enumerate(moves)
-            ]
-        else:
-            if chars.weyl_dim(self.cartan, lam) > FALLBACK_DIM_CAP:
-                raise DimensionCap(
-                    "chamber sampling on a boundary face outgrew the exact "
-                    "evaluation cap; boundary-parameter walks are supported "
-                    "at desk scale only")
-            row = self.measure.kernel_row(lam)
-            probs = [row.get(mu, 0.0) for mu, _ in moves]
-        arr = np.array(probs, dtype=float)
-        total = arr.sum()
-        assert abs(total - 1.0) < 1e-6, f"kernel row sums to {total}"
-        return [mu for mu, _ in moves], arr / total, [bs for _, bs in moves]
 
     def table(self, lam):
         """Cached step table out of the int weight lam: (targets, CDF, letters).
@@ -158,12 +111,19 @@ class _ChamberStepper:
         cached = self.tables.get(lam)
         if cached is not None:
             return cached
-        mus, probs, letters = self._row(lam)
+        moves = sorted(paths.chamber_moves(self.cartan, self.delta, lam).items())
+        nums = chars.weyl_numerator_batch(self.cartan, [lam] + [mu for mu, _ in moves], self.t)
+        probs = np.array([len(bs) * self.letter_monomials[bs[0]] for _, bs in moves])
+        probs *= nums[1:]
+        probs /= self.s_delta * nums[0]
+        total = probs.sum()
+        assert abs(total - 1.0) < chars.ROW_TOL, f"kernel row sums to {total}"
+        probs /= total
         if not np.all(probs >= 0):
             raise ValueError("probabilities are not non-negative")
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        out = (mus, cdf.tolist(), letters)
+        out = ([mu for mu, _ in moves], cdf.tolist(), [bs for _, bs in moves])
         self.tables[lam] = out
         return out
 

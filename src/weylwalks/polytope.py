@@ -110,10 +110,6 @@ class DominantFace:
         return _affine_rank(self.vertices)
 
 
-def _dynkin_neighbors(cartan, i, indices):
-    return [j for j in indices if j != i and cartan.cartan[i][j] != 0]
-
-
 def is_admissible(cartan: CartanDatum, delta, subset) -> bool:
     """Every Dynkin component of `subset` meets a root non-orthogonal to delta."""
     delta = weight(delta)

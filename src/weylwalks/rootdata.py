@@ -249,10 +249,6 @@ class CartanDatum:
         return sum(v[i] * sum(m[i][j] * u[j] for j in range(self.rank))
                    for i in range(self.rank))
 
-    def coroot_pairing(self, v: Weight, i: int):
-        """<v, alpha_i^vee>; in omega-coordinates this is coordinate i."""
-        return v[i]
-
     def alpha_coords(self, v: Weight) -> Weight:
         """Coordinates of v on the simple-root basis."""
         c = self._omega_to_alpha

@@ -1,6 +1,7 @@
 """Characters: Freudenthal vs Weyl dimension, S-evaluations, tensor and wedge
 decompositions with their exact oracles, total positivity."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,10 +30,14 @@ from weylwalks.chars import (
     weyl_numerator_batch,
     wedge_sequence_values,
 )
+from weylwalks import chars
+from weylwalks.polytope import admissible_subsets
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
+A3 = build_root_system("A", 3)
+C3 = build_root_system("C", 3)
 
 
 def g2_seven_dim():
@@ -90,6 +95,8 @@ def test_weyl_invariance_exhaustive(cartan):
 def test_dimension_cap():
     with pytest.raises(DimensionCap):
         weight_multiplicities(A2, (40, 40), dim_cap=1000)
+    with pytest.raises(DimensionCap):  # checked before Freudenthal runs
+        evaluate_S(A2, (100, 100), (100, 100), (0.3, 0.3))
 
 
 def test_evaluate_S_at_ones_is_dimension():
@@ -309,15 +316,39 @@ def test_minor_report_rows():
         assert total_positivity_min_minor(A1, weight((1,)), t, w, kmax) >= -1e-9
 
 
+def box_patterns(cartan, delta, rng):
+    """One t per {0, 1, interior} pattern of each delta-admissible support."""
+    out = []
+    for adm in admissible_subsets(cartan, delta):
+        for ones in itertools.product((False, True), repeat=len(adm.indices)):
+            t = [0.0] * cartan.rank
+            for i, one in zip(adm.indices, ones):
+                t[i] = 1.0 if one else float(0.05 + 0.9 * rng.random())
+            out.append(tuple(t))
+    return out
+
+
 def test_weyl_numerator_ratio_matches_direct_character():
-    # Weyl character formula: N_lambda(t)/N_0(t) = S_{lambda,lambda}(t)
+    # Weyl character formula on the closed box: N_lambda(t)/N_0(t) = S_{lambda,lambda}(t)
     rng = np.random.default_rng(13)
-    for cartan, lam in [(A2, (2, 1)), (B2, (1, 1)), (G2, (1, 0))]:
-        lam = weight(lam)
-        for _ in range(5):
-            t = 0.05 + 0.9 * rng.random(cartan.rank)
-            log_t = np.log(t)
-            num, den = weyl_numerator_batch(cartan, [lam, wzero(cartan.rank)], log_t)
-            ratio = num / den
-            direct = evaluate_S(cartan, lam, lam, t)
-            assert ratio == pytest.approx(direct, rel=1e-9)
+    for cartan, delta, lams in [
+            (A2, (1, 1), [(2, 1), (0, 3)]), (B2, (1, 0), [(1, 1), (2, 0)]),
+            (G2, (1, 0), [(1, 0), (1, 1)]), (A3, (1, 0, 0), [(1, 0, 1), (0, 2, 0)]),
+            (C3, (1, 0, 0), [(1, 1, 0), (0, 0, 1)])]:
+        for t in box_patterns(cartan, delta, rng) + box_patterns(cartan, delta, rng):
+            nums = weyl_numerator_batch(cartan, [weight(lam) for lam in lams]
+                                        + [wzero(cartan.rank)], t)
+            for lam, num in zip(lams, nums):
+                assert num / nums[-1] == pytest.approx(evaluate_S(cartan, lam, lam, t),
+                                                       rel=1e-12)
+
+
+def test_weyl_numerator_float_sum_is_exact_on_faces(monkeypatch):
+    # at moderate t the float sum alone is right on faces and at t_i = 1: no
+    # weight needs the exact re-summation
+    monkeypatch.setattr(chars, "_exact_numerator", None)
+    for cartan, lam in [(A2, (2, 1)), (B2, (1, 1)), (G2, (1, 0)), (A3, (1, 0, 1))]:
+        for t in itertools.product((0.0, 0.4, 1.0), repeat=cartan.rank):
+            num, den = weyl_numerator_batch(cartan, [lam, (0,) * cartan.rank], t)
+            assert num / den == pytest.approx(evaluate_S(cartan, lam, lam, t), rel=1e-13)
+

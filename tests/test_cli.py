@@ -1,10 +1,16 @@
 """CLI: parsing, dispatch, structured errors, byte-stable output."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weylwalks import build_root_system, invert_drift
 from weylwalks.cli import main, parse
+from weylwalks.rootdata import cartan_type, dominant_representative
 
 
 def run_cli(capsys, *argv):
@@ -214,3 +220,107 @@ def test_error_details_print_plain_weights(capsys, args, error, detail):
                            "--m", "0.3,0.3", *args)
     assert code == 2
     assert json.loads(out) == {"error": error, "detail": detail}
+
+
+@pytest.mark.parametrize("cap", [["--dim-cap", "1000"], []])
+def test_measure_eval_honours_dimension_cap(capsys, cap):
+    # dim V(100, 100) = 1,030,301 exceeds both caps: refused before any table
+    code, out, err = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
+                             "--mode", "chamber", "--m", "0.3,0.3", "--lambda", "100,100",
+                             "--n", "100", *cap)
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out)["error"] == "DimensionCap"
+
+
+@pytest.mark.parametrize("flag,token", [("--m", "1e400"), ("--delta", "1e400")])
+def test_non_finite_coordinate_is_usage_error(capsys, flag, token):
+    argv = {"--delta": "1", "--m": "0"}
+    argv[flag] = token
+    with pytest.raises(SystemExit) as exc:
+        main(["drift", "invert", "--type", "A1", "--delta", argv["--delta"], "--m", argv["--m"]])
+    assert exc.value.code == 2
+    assert f"cannot parse coordinate '{token}'" in capsys.readouterr().err
+
+
+def test_decimal_drift_targets_are_snapped_like_the_library(capsys):
+    m = "0.33333333334,0.33333333333"
+    code, out, _ = run_cli(capsys, "drift", "invert", "--type", "A2", "--delta", "1,0",
+                           "--m", m)
+    assert code == 0
+    point = invert_drift(build_root_system("A", 2), (1, 0), tuple(map(float, m.split(","))))
+    assert json.loads(out)["t"] == [repr(x) for x in point.t] == ["0.5", "0.0"]
+
+
+FUZZ_DELTAS = {"A1": ("1", "2"), "A2": ("1,0", "1,1", "0,0"), "B2": ("1,0", "0,1", "-1,1"),
+               "G2": ("1,0", "0,1")}
+
+
+@st.composite
+def drift_target(draw, cartan, delta):
+    """A point of K(delta) as --m: a convex combination of a few points of the
+    Weyl orbit of delta (faces), scaled toward 0 (t near 1) or past 1, and
+    often made dominant (chamber walks)."""
+    orbit = cartan.orbit(tuple(Fraction(c) for c in delta.split(",")))
+    verts = draw(st.lists(st.sampled_from(orbit), min_size=1, max_size=len(orbit)))
+    coefs = draw(st.lists(st.floats(0, 1), min_size=len(verts), max_size=len(verts)))
+    scale = draw(st.sampled_from([1.0, 0.5, 1e-3, 1e-6, 1e-9, 1e-13, 1.0 + 1e-9, 1.01]))
+    m = [scale * sum(c * float(v[i]) for c, v in zip(coefs, verts)) / (sum(coefs) or 1.0)
+         for i in range(cartan.rank)]
+    if draw(st.booleans()):
+        y, _ = dominant_representative(cartan, tuple(Fraction(x) for x in m))
+        m = [float(c) for c in y]
+    if draw(st.booleans()):
+        return ",".join(str(Fraction(x).limit_denominator(1000)) for x in m)
+    return ",".join(repr(x) for x in m)
+
+
+@st.composite
+def cli_argv(draw):
+    tok = draw(st.sampled_from(sorted(FUZZ_DELTAS)))
+    cartan = cartan_type(tok)
+    delta = draw(st.sampled_from(FUZZ_DELTAS[tok]))
+    verb = draw(st.sampled_from(["root info", "crystal build", "graph build", "polytope faces",
+                                 "measure eval", "drift invert", "sample"]))
+    argv = verb.split() + ["--type", tok]
+    if verb == "root info":
+        return argv
+    argv += ["--delta=" + delta]
+    if verb == "graph build":
+        return argv + ["--kind", draw(st.sampled_from(["free", "chamber"])),
+                       "--nmax", str(draw(st.integers(0, 4)))]
+    if verb != "drift invert":
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if verb in ("crystal build", "polytope faces"):
+        return argv
+    argv += ["--m=" + draw(drift_target(cartan, delta))]
+    if verb == "drift invert":
+        return argv
+    argv += ["--mode", draw(st.sampled_from(["free", "chamber"]))]
+    if verb == "sample":
+        return argv + ["--steps", str(draw(st.integers(0, 20))),
+                       "--seed", str(draw(st.integers(0, 2**32)))]
+    if draw(st.booleans()):
+        lam = [draw(st.integers(-1, 5)) for _ in range(cartan.rank)]
+        argv += ["--lambda=" + ",".join(map(str, lam))]
+    return argv + ["--n", str(draw(st.integers(0, 4)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_cli_contract_on_random_argv(argv):
+    # exit 0 or 2, errors as JSON, no exception or traceback
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+            assert code == 2 and out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2), argv
+    if code == 2 and out.getvalue():
+        assert set(json.loads(out.getvalue())) == {"error", "detail"}
+    elif code == 0 and "csv" in argv and argv[0] in ("measure", "sample"):
+        assert out.getvalue().count("\n") >= 2
+    elif code == 0:
+        json.loads(out.getvalue())

@@ -20,6 +20,7 @@ from weylwalks import (
     wzero,
 )
 from weylwalks import chars
+from weylwalks.chars import monomial
 from weylwalks.boundary import CentralMeasure
 from weylwalks.errors import EnumerationCap, NotDominantDrift
 from weylwalks.montecarlo import (
@@ -27,13 +28,17 @@ from weylwalks.montecarlo import (
     _free_letter_probs,
     trajectory_csv,
 )
-from weylwalks.paths import _letter_data, build_growth_graph, crystal
+from weylwalks.paths import _letter_data, build_growth_graph, chamber_moves, crystal
+from weylwalks.rootdata import int_weight
+
+from test_chars import box_patterns
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
 A3 = build_root_system("A", 3)
+C3 = build_root_system("C", 3)
 
 
 def interior_measure(cartan, delta, kind, seed=0):
@@ -86,32 +91,94 @@ def test_free_sampler_mean_matches_drift():
     assert max(abs(a - b) for a, b in zip(emp, meas.point.drift)) < 0.08
 
 
+def table_row(stepper, lam):
+    """(targets, probabilities) of the cached step table out of lam."""
+    mus, cdf, _ = stepper.table(lam)
+    return mus, np.diff([0.0] + cdf)
+
+
+def chamber_measure(cartan, delta, t):
+    return CentralMeasure("chamber", boundary_point(cartan, delta, t))
+
+
 def test_chamber_stepper_matches_direct_kernel():
-    # the Weyl-numerator fast path equals the S-ratio kernel on small vertices
+    # the Weyl-numerator table equals the S-ratio kernel on small vertices, on
+    # every {0, 1, interior} pattern of an admissible support
     rng = np.random.default_rng(13)
     for cartan, delta in [(A1, weight((2,))), (A2, weight((1, 1))), (B2, weight((1, 0)))]:
-        pt = random_boundary_point(cartan, delta, rng, chamber=True,
-                                   force_support=range(cartan.rank), force_ones=())
-        meas = CentralMeasure("chamber", pt)
-        stepper = _ChamberStepper(meas)
-        assert not stepper.all_ones and not stepper.has_zero
         g = build_growth_graph(cartan, "chamber", delta, 3)
-        for n in range(3):
-            for lam in g.levels[n]:
-                mus, probs = stepper.row(lam)
-                direct = meas.kernel_row(lam)
-                for mu, q in zip(mus, probs):
-                    assert q == pytest.approx(direct.get(mu, 0.0),
-                                              rel=1e-5, abs=1e-7)
+        for t in box_patterns(cartan, delta, rng):
+            meas = chamber_measure(cartan, delta, t)
+            stepper = _ChamberStepper(meas)
+            for n in range(3):
+                for lam in g.levels[n]:
+                    mus, probs = table_row(stepper, lam)
+                    direct = meas.kernel_row(lam)
+                    assert set(direct) <= set(mus)
+                    for mu, q in zip(mus, probs):
+                        assert q == pytest.approx(direct.get(mu, 0.0),
+                                                  rel=1e-12, abs=1e-14)
 
 
 def test_chamber_stepper_dimension_kernel_at_ones():
     meas = central_measure(A1, (1,), "chamber", (0,))
-    stepper = _ChamberStepper(meas)
-    assert stepper.all_ones
-    mus, probs = stepper.row(weight((3,)))
-    expected = {weight((4,)): 5 / 8, weight((2,)): 3 / 8}
+    assert meas.point.t == (1.0,)
+    mus, probs = table_row(_ChamberStepper(meas), (3,))
+    expected = {(4,): 5 / 8, (2,): 3 / 8}
     assert {mu: pytest.approx(p) for mu, p in zip(mus, probs)} == expected
+
+
+@pytest.mark.parametrize("cartan, delta", [
+    (A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0)), (A3, (1, 0, 0)), (C3, (1, 0, 0))])
+def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
+    # sum_b t^(delta - e_b) N_{lam+e_b} = S_delta N_lam over the chamber-valid
+    # letters, within 1e-12 before normalisation: on every {0, 1, interior}
+    # pattern and on grids down to t = 1 - 1e-8
+    rng = np.random.default_rng(31)
+    ts = box_patterns(cartan, delta, rng)
+    for k in range(1, 9):
+        near = 1.0 - 10.0**-k
+        ts.append((near,) * cartan.rank)
+        ts.append(tuple(near if i % 2 else 1.0 - 0.5 * 10.0**-k
+                        for i in range(cartan.rank)))
+        ts.append((1.0,) + (near,) * (cartan.rank - 1))
+        ts.append((near,) + (0.5,) * (cartan.rank - 1))
+    exps = chars._free_exponents(cartan, delta, cartan.identity)
+    lams = [lam for level in build_growth_graph(cartan, "chamber", delta, 4).levels
+            for lam in level]
+    lams.append(tuple(7 * c + 3 for c in delta))
+    for t in ts:
+        meas = chamber_measure(cartan, delta, t)
+        stepper = _ChamberStepper(meas)
+        for lam in lams:
+            lam = int_weight(lam)
+            moves = sorted(chamber_moves(cartan, delta, lam).items())
+            nums = chars.weyl_numerator_batch(cartan, [lam] + [mu for mu, _ in moves], t)
+            total = sum(len(bs) * monomial(t, exps[wsub(mu, lam)]) * num
+                        for (mu, bs), num in zip(moves, nums[1:]))
+            assert abs(total / (meas.point.s_delta * nums[0]) - 1.0) < 1e-12, (t, lam)
+            stepper.table(lam)  # asserts the same bound on its own row
+
+
+def test_chamber_rows_stay_on_the_delta_module(monkeypatch):
+    # at every t, a new row is one Weyl-numerator batch, and no character of a
+    # module beyond V(delta) is evaluated or built by Freudenthal
+    seen = []
+    for name in ("evaluate_S", "_weight_multiplicities"):
+        real = getattr(chars, name)
+        monkeypatch.setattr(chars, name, lambda cartan, lam, *args, _real=real:
+                            seen.append(int_weight(lam)) or _real(cartan, lam, *args))
+    batches = []
+    real_batch = chars.weyl_numerator_batch
+    monkeypatch.setattr(chars, "weyl_numerator_batch", lambda *args:
+                        batches.append(1) or real_batch(*args))
+    for t in [(0.5, 0.0), (0.0, 1.0), (1.0, 0.3), (1.0, 1.0), (1.0 - 1e-8, 0.4),
+              (0.3, 0.6)]:
+        meas = chamber_measure(A2, (1, 1), t)
+        batches.clear()
+        sample_trajectory(meas, 60, seed=4)
+        assert len(batches) == len(meas._chamber_stepper.tables)
+    assert set(seen) == {(1, 1)}
 
 
 def reference_chamber_walk(measure, steps, seed):
@@ -124,7 +191,7 @@ def reference_chamber_walk(measure, steps, seed):
     lam = wzero(cartan.rank)
     letters, positions = [], [lam]
     for _ in range(steps):
-        mus, probs = stepper.row(lam)
+        mus, probs = table_row(stepper, lam)
         mu = mus[int(rng.choice(len(mus), p=probs))]
         eps = wsub(mu, lam)
         valid = [b for b, end in enumerate(ends)
@@ -139,7 +206,7 @@ def reference_chamber_walk(measure, steps, seed):
 @pytest.mark.parametrize("cartan, delta", [
     (A1, (2,)), (A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0)), (A3, (1, 0, 0))])
 def test_chamber_sampler_matches_reference_loop(cartan, delta):
-    # interior t, one t_i = 1 (the nudged branch) and t = 1, several seeds each
+    # interior t, one t_i = 1 and t = 1, several seeds each
     rng = np.random.default_rng(29)
     ts = [tuple(float(0.15 + 0.7 * rng.random()) for _ in range(cartan.rank))
           for _ in range(2)]
@@ -159,12 +226,12 @@ def test_chamber_sampler_matches_reference_loop(cartan, delta):
 def test_negative_kernel_entry_is_rejected(monkeypatch):
     # a row that sums to 1 but has a negative entry fails as Generator.choice did
     meas = central_measure(A1, (1,), "chamber", (0.3,))
-    (down, up), (p_down, p_up) = _ChamberStepper(meas).row(weight((1,)))
-    assert (down, up) == (weight((0,)), weight((2,)))
+    (down, up), (p_down, p_up) = table_row(_ChamberStepper(meas), (1,))
+    assert (down, up) == ((0,), (2,))
     real = chars.weyl_numerator_batch
 
-    def skewed(cartan, lams, log_t):
-        nums = real(cartan, lams, log_t)
+    def skewed(cartan, lams, t):
+        nums = real(cartan, lams, t)
         if len(lams) == 3:  # the row out of (1,): lam, then targets (0,), (2,)
             nums[1] *= -1.0
             nums[2] *= (1.0 + p_down) / p_up
