@@ -240,7 +240,7 @@ def _faces(types):
 # -- criterion 6: Pitman equality in law ------------------------------------------------------
 
 
-PITMAN_N = {"A1": 6, "A2": 4}
+PITMAN_N = {"A1": 12, "A2": 6, "B2": 6, "G2": 5}
 
 
 def _pitman(types, tol=1e-12):

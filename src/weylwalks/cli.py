@@ -23,7 +23,6 @@ from . import acceptance, boundary, chars, montecarlo, paths, polytope
 
 ENV_DIM_CAP = "WEYLWALKS_DIM_CAP"
 ENV_LEVEL_CAP = "WEYLWALKS_LEVEL_CAP"
-ENV_ENUM_CAP = "WEYLWALKS_ENUM_CAP"
 
 
 @dataclass
@@ -37,7 +36,6 @@ class RunConfig:
     fmt: str = "json"
     dim_cap: int = chars.DEFAULT_DIM_CAP
     level_cap: int = paths.DEFAULT_LEVEL_CAP
-    enum_cap: int = 10**6
 
 
 def _token(token: str, decimal):
@@ -68,7 +66,11 @@ def _cartan_token(text: str):
 
 def _env_int(name, default):
     value = os.environ.get(name)
-    return int(value) if value else default
+    try:
+        return int(value) if value else default
+    except ValueError:
+        sys.stderr.write(f"weylwalks: error: {name} must be an integer, got {value!r}\n")
+        raise SystemExit(2)
 
 
 def _add_common(sub, need_delta=True):
@@ -83,7 +85,6 @@ def _add_common(sub, need_delta=True):
                      default=_env_int(ENV_DIM_CAP, chars.DEFAULT_DIM_CAP))
     sub.add_argument("--level-cap", type=int,
                      default=_env_int(ENV_LEVEL_CAP, paths.DEFAULT_LEVEL_CAP))
-    sub.add_argument("--enum-cap", type=int, default=_env_int(ENV_ENUM_CAP, 10**6))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +180,6 @@ def parse(argv) -> RunConfig:
         command=command, family=cartan.family, rank=cartan.rank,
         delta=delta, params=params, seed=getattr(ns, "seed", None),
         fmt=ns.fmt, dim_cap=ns.dim_cap, level_cap=ns.level_cap,
-        enum_cap=ns.enum_cap,
     )
 
 

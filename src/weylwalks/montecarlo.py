@@ -1,6 +1,6 @@
 """Samplers for free and chamber walks under extremal central measures,
-law-of-large-numbers checks, and exact equality-in-law verification of the
-Pitman chain (deterministic enumeration, never two-sample statistics).
+law-of-large-numbers checks, and exact equality in law for the Pitman chain
+(a dynamic program over its causal states, never two-sample statistics).
 
 RNG contract: numpy Generators seeded as default_rng([seed, rep]); per-rep
 streams are independent and the whole report is reproducible from
@@ -17,12 +17,11 @@ import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import EnumerationCap, NotDominantDrift
-from .rootdata import CartanDatum, weight
+from .rootdata import CartanDatum, int_weight, weight
 from . import boundary, chars, paths
 
 LLN_PASS_THRESHOLD = 0.05  # at 5000 steps, about 3.5 standard errors (see lln_check)
@@ -201,37 +200,43 @@ def lln_check(measure, steps: int, reps: int, seed: int = 0,
 # -- exact equality in law ----------------------------------------------------------
 
 
+def _pitman_law(cartan, delta, letter_probs, n, cap):
+    """{endpoint: mass} of the free letter law pushed through the Pitman chain to
+    time n, over levels of merged causal states (paths.pitman_step), <= cap each."""
+    letters = [(b, p) for b, p in enumerate(letter_probs) if p != 0.0]
+    level = {((0,) * cartan.rank, (0,) * len(cartan.w0_word)): 1.0}
+    for k in range(1, n + 1):
+        nxt = {}
+        for (end, gaps), mass in level.items():
+            for b, p in letters:
+                step, new_gaps = paths.pitman_step(cartan, delta, gaps, b)
+                key = (tuple(x + y for x, y in zip(end, step)), new_gaps)
+                nxt[key] = nxt.get(key, 0.0) + mass * p
+            if len(nxt) > cap:
+                raise EnumerationCap(f"level {k} has more than {cap} Pitman states")
+        level = nxt
+    law = {}
+    for (end, _), mass in level.items():
+        law[end] = law.get(end, 0.0) + mass
+    return law
+
+
 def pitman_equality_in_law(cartan: CartanDatum, delta, m, n: int,
                            cap: int = 10**6) -> float:
     """Total-variation distance between the Pitman-transformed free endpoint law
-    and the chamber endpoint law at time n, by exact enumeration.
+    and the chamber endpoint law (count times p(lambda, n)) at time n, exactly.
 
-    m must lie in K(delta)+; all |B(delta)|^n letter words are enumerated,
-    weighted by the free measure, pushed through the Pitman chain along the
-    fixed reduced word of the longest element, and aggregated by endpoint."""
+    m must lie in K(delta)+.  The free letter law goes through the chain along
+    the fixed reduced word of w0 by a dynamic program over the chain's causal
+    states (_pitman_law), equal to enumerating all |B(delta)|^n words."""
     delta = weight(delta)
     point = boundary.invert_drift(cartan, delta, m)
     if point.w != cartan.identity:
         raise NotDominantDrift(f"{m} is not in K(delta)+")
     free = boundary.CentralMeasure("free", point)
     chamber = boundary.CentralMeasure("chamber", point)
-
-    cb = paths.crystal(cartan, delta)
-    letter_probs = _free_letter_probs(free)
-    if len(cb.paths) ** n > cap:
-        raise EnumerationCap(f"|B|^n = {len(cb.paths)**n} exceeds cap {cap}")
-
-    pushed = {}
-    for word in product(range(len(cb.paths)), repeat=n):
-        prob = 1.0
-        for b in word:
-            prob *= letter_probs[b]
-        if prob == 0.0:
-            continue
-        path = paths.word_path(cartan, delta, word)
-        end = paths.pitman_chain(cartan, path).endpoint()
-        assert cartan.is_dominant(end)
-        pushed[end] = pushed.get(end, 0.0) + prob
+    pushed = _pitman_law(cartan, int_weight(delta), _free_letter_probs(free), n, cap)
+    assert all(cartan.is_dominant(end) for end in pushed)
 
     exact = {}
     for lam, cnt in paths.build_growth_graph(cartan, "chamber", delta, n).levels[n].items():

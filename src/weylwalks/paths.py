@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DimensionCap, LevelCap, NotAdmissible
+from .errors import LevelCap, NotAdmissible
 from .rootdata import CartanDatum, int_weight, weight, wadd, wsub, wscale, wzero
 from . import chars
 
@@ -214,9 +214,7 @@ class CrystalB:
 def generate_crystal(cartan: CartanDatum, delta, dim_cap: int = chars.DEFAULT_DIM_CAP) -> CrystalB:
     """Close the straight path to delta under all lowering operators."""
     delta = weight(delta)
-    dim = chars.weyl_dim(cartan, delta)
-    if dim > dim_cap:
-        raise DimensionCap(f"dim V({delta}) = {dim} exceeds cap {dim_cap}")
+    chars.check_weight(cartan, delta, dim_cap)
     pi0 = straight_path(delta)
     paths = [pi0]
     index = {pi0: 0}
@@ -235,7 +233,7 @@ def generate_crystal(cartan: CartanDatum, delta, dim_cap: int = chars.DEFAULT_DI
                     nxt.append(index[img])
                 edges[(src, i)] = index[img]
         frontier = nxt
-    assert len(paths) == dim
+    assert len(paths) == chars.weyl_dim(cartan, delta)
     return CrystalB(delta=delta, paths=tuple(paths), edges=edges)
 
 
@@ -393,6 +391,28 @@ def word_path(cartan: CartanDatum, delta, word) -> PLPath:
 # -- Pitman transforms ------------------------------------------------------------
 
 
+def _pitman_stage(cartan, segments, i, gap):
+    """P_alpha_i on a continuation: the input's alpha_i-height starts `gap`
+    above its running minimum.  Returns the output segments and the change
+    (<= 0) of the running minimum over them."""
+    out = []
+    run_min, h = 0, gap
+    for d, v in segments:
+        slope = v[i]
+        h_end = h + slope * d
+        if slope >= 0 or h_end >= run_min:
+            out.append((d, v))
+        else:
+            # height dips below the running minimum inside this segment
+            c = (h - run_min) / -slope
+            if c:
+                out.append((c, v))
+            out.append((d - c, cartan.reflect(v, i)))
+            run_min = h_end
+        h = h_end
+    return out, run_min
+
+
 def pitman_transform(cartan: CartanDatum, path: PLPath, i: int) -> PLPath:
     """P_alpha(path)(t) = path(t) - (inf_{s<=t} <path(s), alpha_i^vee>) alpha_i.
 
@@ -402,27 +422,7 @@ def pitman_transform(cartan: CartanDatum, path: PLPath, i: int) -> PLPath:
     """
     if not path.segments:
         return path
-    out = []
-    run_min = Fraction(0)
-    t = Fraction(0)
-    h = Fraction(0)
-    for d, v in path.segments:
-        slope = v[i]
-        h_end = h + slope * d
-        if slope >= 0 or h_end >= run_min:
-            out.append((d, v))
-        else:
-            # height dips below the running minimum inside this segment
-            if h > run_min:
-                c = (h - run_min) / -slope
-                out.append((c, v))
-            else:
-                c = Fraction(0)
-            out.append((d - c, cartan.reflect(v, i)))
-            run_min = h_end
-        h = h_end
-        t += d
-    result = PLPath(_normalize(out))
+    result = PLPath(_normalize(_pitman_stage(cartan, path.segments, i, 0)[0]))
     assert min(p[i] for _, p in result.breakpoints()) >= 0
     return result
 
@@ -440,6 +440,26 @@ def pitman_chain(cartan: CartanDatum, path: PLPath, word=None) -> PLPath:
     for i in reversed(word):
         out = pitman_transform(cartan, out, i)
     return out
+
+
+@lru_cache(maxsize=None)
+def pitman_step(cartan: CartanDatum, delta, gaps, b):
+    """Letter b of B(delta) appended to the input of the chain P_{w0}.
+
+    The chain is causal: after a prefix, its state is the height gaps[s] >= 0 of
+    each stage's input above its running minimum (stages in `pitman_chain`'s
+    order of application).  Returns (output increment, new gaps) as int tuples.
+    """
+    segments = crystal(cartan, delta).paths[b].segments
+    new_gaps = []
+    for i, gap in zip(reversed(cartan.w0_word), gaps):
+        rise = sum(d * v[i] for d, v in segments)
+        segments, drop = _pitman_stage(cartan, segments, i, gap)
+        new_gaps.append(gap + rise - drop)
+    step = int_weight(PLPath(tuple(segments)).endpoint()), int_weight(new_gaps)
+    if None in step:
+        raise ValueError("Pitman chain state is not integral")
+    return step
 
 
 # -- highest-weight witnesses -------------------------------------------------------

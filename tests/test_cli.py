@@ -232,6 +232,32 @@ def test_measure_eval_honours_dimension_cap(capsys, cap):
     assert json.loads(out)["error"] == "DimensionCap"
 
 
+def test_crystal_dimension_cap_detail_prints_plain_weight(capsys):
+    code, out, _ = run_cli(capsys, "crystal", "build", "--type", "A2", "--delta", "1,0",
+                           "--dim-cap", "2")
+    assert code == 2
+    assert json.loads(out) == {"error": "DimensionCap",
+                               "detail": "dim V(1, 0) = 3 exceeds cap 2"}
+
+
+@pytest.mark.parametrize("name", ["WEYLWALKS_DIM_CAP", "WEYLWALKS_LEVEL_CAP"])
+def test_non_integer_cap_environment_is_usage_error(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["root", "info", "--type", "A2"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"weylwalks: error: {name} must be an integer, got 'abc'\n"
+
+
+def test_enum_cap_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["root", "info", "--type", "A2", "--enum-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --enum-cap 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,token", [("--m", "1e400"), ("--delta", "1e400")])
 def test_non_finite_coordinate_is_usage_error(capsys, flag, token):
     argv = {"--delta": "1", "--m": "0"}

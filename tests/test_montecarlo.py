@@ -3,6 +3,8 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,9 +28,19 @@ from weylwalks.errors import EnumerationCap, NotDominantDrift
 from weylwalks.montecarlo import (
     _ChamberStepper,
     _free_letter_probs,
+    _pitman_law,
     trajectory_csv,
 )
-from weylwalks.paths import _letter_data, build_growth_graph, chamber_moves, crystal
+from weylwalks.paths import (
+    _letter_data,
+    build_growth_graph,
+    chamber_moves,
+    crystal,
+    pitman_chain,
+    pitman_step,
+    pitman_transform,
+    word_path,
+)
 from weylwalks.rootdata import int_weight
 
 from test_chars import box_patterns
@@ -344,6 +356,64 @@ def test_pitman_rejects_nondominant():
 def test_pitman_enumeration_cap():
     with pytest.raises(EnumerationCap):
         pitman_equality_in_law(A2, (1, 0), (0, 0), 4, cap=10)
+
+
+PITMAN_CASES = [(A1, (1,), 6), (A1, (2,), 4), (A2, (1, 0), 4), (A2, (1, 1), 3),
+                (B2, (1, 0), 3), (B2, (0, 1), 3), (G2, (1, 0), 3)]
+
+
+@lru_cache(maxsize=None)
+def pitman_word_endpoints(cartan, delta, n):
+    """Every length-n word with the endpoint of its path through pitman_chain."""
+    return [(word, pitman_chain(cartan, word_path(cartan, delta, word)).endpoint())
+            for word in product(range(len(crystal(cartan, delta).paths)), repeat=n)]
+
+
+def enumerated_pitman_law(cartan, delta, probs, n):
+    """Reference: the words' float letter probabilities multiplied and summed
+    exactly per endpoint."""
+    law = {}
+    for word, end in pitman_word_endpoints(cartan, delta, n):
+        law[end] = law.get(end, 0) + math.prod(Fraction(probs[b]) for b in word)
+    return {end: mass for end, mass in law.items() if mass}
+
+
+@pytest.mark.parametrize("cartan,delta,n", PITMAN_CASES)
+def test_pitman_law_matches_word_enumeration(cartan, delta, n):
+    # t = 1, interior t and faces: the dynamic program equals the enumeration
+    rng = np.random.default_rng(29)
+    delta = weight(delta)
+    for t in box_patterns(cartan, delta, rng):
+        probs = _free_letter_probs(CentralMeasure("free", boundary_point(cartan, delta, t)))
+        law = _pitman_law(cartan, int_weight(delta), probs, n, 10**6)
+        reference = enumerated_pitman_law(cartan, delta, probs, n)
+        assert set(law) == set(reference), t
+        assert max(abs(law[end] - float(reference[end])) for end in law) < 1e-15, t
+
+
+@pytest.mark.parametrize("cartan,delta,n", PITMAN_CASES)
+def test_pitman_step_follows_the_chain_stage_by_stage(cartan, delta, n):
+    # int states; summed steps end where pitman_chain ends, and gaps[s] is the
+    # height of stage s's input above its running minimum, stages in order of
+    # application
+    delta = weight(delta)
+    for word, end in pitman_word_endpoints(cartan, delta, n):
+        gaps, total = (0,) * len(cartan.w0_word), (0,) * cartan.rank
+        for b in word:
+            step, gaps = pitman_step(cartan, delta, gaps, b)
+            assert all(type(x) is int for x in step + gaps)
+            total = tuple(x + y for x, y in zip(total, step))
+        assert total == end
+        path = word_path(cartan, delta, word)
+        for i, gap in zip(reversed(cartan.w0_word), gaps):
+            heights = [pos[i] for _, pos in path.breakpoints()]
+            assert gap == heights[-1] - min(heights), word
+            path = pitman_transform(cartan, path, i)
+
+
+def test_pitman_step_refuses_non_integral_state():
+    with pytest.raises(ValueError):
+        pitman_step(A1, (1,), (Fraction(1, 2),), 0)
 
 
 # -- exports ----------------------------------------------------------------------------
