@@ -5,7 +5,8 @@ The parametrized morphisms act as psi(t,w)(e^gamma, n) = t^(n delta - w gamma)
 the drift map (exact face location + damped Newton on the log-partition
 function of the face) realizes the homeomorphism between K(delta) and the
 minimal boundary.  Chamber measures are the w = identity slice, with
-p(lambda, n) = S_{lambda, n delta}(t) / S_delta(t)^n.
+p(lambda, n) = S_{lambda, n delta}(t) / S_delta(t)^n, evaluated through Weyl
+numerators (ChamberKernel), so no law builds a module beyond V(delta).
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ class BoundaryPoint:
                 acc += m * mono * g
         return tuple(float(x) for x in acc / self.s_delta)
 
+    def to_jsonable(self) -> dict:
+        return {
+            "type": f"{self.cartan.family}{self.cartan.rank}",
+            "delta": [str(c) for c in self.delta],
+            "t": [repr(x) for x in self.t],
+            "w_word": [i + 1 for i in self.w.word],
+            "drift": [repr(x) for x in self.drift],
+            "s_hat": repr(s_hat_t(self.cartan, self.delta, self.t)),  # inf on faces
+        }
+
     def one_set(self) -> tuple:
         return tuple(i for i, x in enumerate(self.t) if x == 1.0)
 
@@ -146,6 +157,15 @@ def random_boundary_point(cartan: CartanDatum, delta, rng,
 # -- evaluation of the morphism ------------------------------------------------
 
 
+def _law_value(t, e, n, s_delta, log_factor=0.0) -> float:
+    """exp(log_factor) t^e / S_delta^n in log space (S_delta^n overflows near
+    n = 340 for the A2 adjoint); 0**0 = 1, and an underflow gives 0.0."""
+    if any(k and ti == 0.0 for ti, k in zip(t, e)):
+        return 0.0
+    return math.exp(log_factor - n * math.log(s_delta)
+                    + sum(k * math.log(ti) for ti, k in zip(t, e) if k))
+
+
 def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
     """psi(t,w)(e^gamma, n) = t^(n delta - w gamma) / S_delta(t)^n.
 
@@ -162,7 +182,7 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
         raise NotAWeight(f"{format_weight(gamma)} is not a weight at level {n}")
     e = chars.free_exponent(cartan, top, point.w, n, g)
     assert min(e) >= 0
-    return chars.monomial(point.t, e) / point.s_delta**n
+    return _law_value(point.t, e, n, point.s_delta)
 
 
 # -- drift inversion -------------------------------------------------------------
@@ -265,12 +285,66 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
 # -- central measures --------------------------------------------------------------
 
 
+class ChamberKernel:
+    """The chamber law at one t in [0,1]^d: cached step tables and numerators.
+
+    Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam}) with
+    S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels and a
+    row costs one batch of |W/W_I| terms per weight whatever dim V(lam).
+    """
+
+    def __init__(self, point: BoundaryPoint):
+        self.point = point
+        # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
+        exps = chars._free_exponents(point.cartan, point.delta, point.cartan.identity)
+        ends, _ = paths._letter_table(point.cartan, point.delta)
+        self.letter_monomials = [chars.monomial(point.t, exps[end]) for end in ends]
+        self.tables = {}
+        self.numerators = {}
+
+    def numerator(self, lam) -> float:
+        """N_lam(t) for the int weight lam, cached for p(lam, n)."""
+        if lam not in self.numerators:
+            self.numerators[lam] = float(
+                chars.weyl_numerator_batch(self.point.cartan, [lam], self.point.t)[0])
+        return self.numerators[lam]
+
+    def table(self, lam):
+        """Cached step table out of the int weight lam: (targets, probabilities,
+        CDF, letters).
+
+        The CDF is the one `Generator.choice(n, p=probs)` builds, so
+        bisect_right(cdf, rng.random()) draws the same target from the same
+        stream; letters[k] lists the valid letters to targets[k] in index order.
+        """
+        cached = self.tables.get(lam)
+        if cached is not None:
+            return cached
+        pt = self.point
+        moves = sorted(paths.chamber_moves(pt.cartan, pt.delta, lam).items())
+        nums = chars.weyl_numerator_batch(pt.cartan, [lam] + [mu for mu, _ in moves], pt.t)
+        probs = np.array([len(bs) * self.letter_monomials[bs[0]] for _, bs in moves])
+        probs *= nums[1:]
+        probs /= pt.s_delta * nums[0]
+        total = probs.sum()
+        assert abs(total - 1.0) < chars.ROW_TOL, f"kernel row sums to {total}"
+        probs /= total
+        if not np.all(probs >= 0):
+            raise ValueError("probabilities are not non-negative")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        out = ([mu for mu, _ in moves], probs, cdf.tolist(), [bs for _, bs in moves])
+        self.tables[lam] = out
+        return out
+
+
 class CentralMeasure:
     """Evaluator p(lambda, n) and Markov kernel of an extremal central measure.
 
     kind 'free': the walk on the full weight lattice with i.i.d. increments;
     kind 'chamber': the dominant-chamber walk, time-homogeneous kernel
-    Q(lam -> mu) = e(lam, mu) S_{mu, lam+delta}(t) / (S_delta(t) S_lam(t)).
+    Q(lam -> mu) = e(lam, mu) S_{mu, lam+delta}(t) / (S_delta(t) S_lam(t)),
+    read with p from the measure's ChamberKernel, which the sampler shares.
     """
 
     def __init__(self, kind: str, point: BoundaryPoint):
@@ -283,54 +357,33 @@ class CentralMeasure:
         self.point = point
         self.cartan = point.cartan
         self.delta = point.delta
+        self.chamber_kernel = ChamberKernel(point) if kind == "chamber" else None
 
     def p(self, lam, n: int) -> float:
         """Probability of any single length-n path ending at lam."""
         if self.kind == "free":
             return psi_eval(self.point, lam, n)
+        top = chars.check_weight(self.cartan, lam)
         ndelta = tuple(n * c for c in int_weight(self.delta))
-        return chars.evaluate_S(self.cartan, lam, ndelta, self.point.t) \
-            / self.point.s_delta**n
+        num = self.chamber_kernel.numerator  # S_{lam,lam} = N_lam / N_0
+        return _law_value(self.point.t, chars.order_exponent(self.cartan, top, ndelta), n,
+                          self.point.s_delta, math.log(num(top) / num((0,) * len(top))))
 
     def kernel_row(self, lam) -> dict:
-        """Transition probabilities out of lam (from any level, homogeneous)."""
+        """Transition probabilities out of lam (from any level, homogeneous);
+        a chamber row is its ChamberKernel table, keyed by exact weights."""
+        if self.kind == "chamber":
+            mus, probs, _, _ = self.chamber_kernel.table(chars.check_weight(self.cartan, lam))
+            return {weight(mu): q for mu, q in zip(mus, probs.tolist()) if q}
         lam = weight(lam)
-        cartan = self.cartan
-        t = self.point.t
-        if self.kind == "free":
-            gammas, mults, _, _ = _delta_tables(cartan, self.delta)
-            exps = chars._free_exponents(cartan, self.delta, self.point.w).values()
-            row = {}
-            for g, k, e in zip(gammas, mults.tolist(), exps):
-                val = k * chars.monomial(t, e) / self.point.s_delta
-                if val:
-                    row[wadd(lam, g)] = row.get(wadd(lam, g), 0.0) + val
-            return row
-        s_lam = chars.evaluate_S(cartan, lam, lam, t)
-        top = int_weight(lam)
-        target = tuple(x + d for x, d in zip(top, int_weight(self.delta)))
-        row = {}
-        moves = sorted(paths.chamber_moves(cartan, self.delta, top).items())
-        for mu, letters in moves:
-            val = len(letters) * chars.evaluate_S(cartan, mu, target, t) \
-                / (self.point.s_delta * s_lam)
-            if val:
-                row[weight(mu)] = val
-        return row
+        gammas, mults, _, _ = _delta_tables(self.cartan, self.delta)
+        exps = chars._free_exponents(self.cartan, self.delta, self.point.w).values()
+        # the weights gamma of V(delta) are distinct, and so are the targets
+        return {wadd(lam, g): q for g, k, e in zip(gammas, mults.tolist(), exps)
+                if (q := k * chars.monomial(self.point.t, e) / self.point.s_delta)}
 
     def to_jsonable(self) -> dict:
-        pt = self.point
-        return {
-            "type": f"{self.cartan.family}{self.cartan.rank}",
-            "rank": self.cartan.rank,
-            "kind": self.kind,
-            "delta": [str(c) for c in self.delta],
-            "t": [repr(x) for x in pt.t],
-            "w_word": [i + 1 for i in pt.w.word],
-            "drift": [repr(x) for x in pt.drift],
-            "s_hat": repr(s_hat_t(self.cartan, self.delta, pt.t))
-            if all(x > 0 for x in pt.t) else "inf",
-        }
+        return dict(self.point.to_jsonable(), rank=self.cartan.rank, kind=self.kind)
 
 
 def central_measure(cartan: CartanDatum, delta, kind: str, m) -> CentralMeasure:
@@ -449,17 +502,18 @@ def harmonic_function_check(cartan: CartanDatum, delta, t, n_max: int = 4) -> fl
     if any(x <= 0 or x > 1 for x in t):
         raise ValueError("t must lie in the half-open box (0, 1]^d")
 
-    def s_val(lam):
-        return chars.evaluate_S(cartan, lam, lam, t) \
-            / chars.monomial(t, cartan.alpha_coords(lam))
-
     cz = s_hat_t(cartan, delta, t)  # c Z = s_delta(t)
     g = paths.build_growth_graph(cartan, "chamber", delta, n_max + 1)
+    # s_lam(t) = S_{lam,lam}(t) / t^lam with S_{lam,lam} = N_lam / N_0
+    lams = list(dict.fromkeys(lam for level in g.levels for lam in level))
+    nums = chars.weyl_numerator_batch(cartan, [(0,) * cartan.rank] + lams, t).tolist()
+    s_val = {lam: num / nums[0] / chars.monomial(t, cartan.alpha_coords(lam))
+             for lam, num in zip(lams, nums[1:])}
     worst = 0.0
     for n in range(n_max + 1):
         for lam in g.levels[n]:
-            lhs = s_val(lam)
-            rhs = sum(e * s_val(mu) for mu, e in g.edges[n][lam]) / cz
+            lhs = s_val[lam]
+            rhs = sum(e * s_val[mu] for mu, e in g.edges[n][lam]) / cz
             worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -153,6 +153,16 @@ def monomial(t, exponents) -> float:
     return out
 
 
+def order_exponent(cartan: CartanDatum, top, mu):
+    """alpha(mu - top) as ints, the exponent S_{top,mu} adds to every term;
+    OrderViolation unless mu >= top in the root order."""
+    shift = cartan.int_alpha_coords(tuple(m - c for m, c in zip(mu, top)))
+    if shift is None or any(k < 0 for k in shift):
+        raise OrderViolation(
+            f"{format_weight(mu)} is not >= {format_weight(top)} in the root order")
+    return shift
+
+
 def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
     """S_{lambda,mu}(t) = sum_gamma K_{lambda,gamma} t^(mu - gamma).
 
@@ -162,10 +172,7 @@ def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
     DimensionCap before building the table of a module over DEFAULT_DIM_CAP.
     """
     top = check_weight(cartan, lam, DEFAULT_DIM_CAP)
-    shift = cartan.int_alpha_coords(tuple(m - c for m, c in zip(mu, top)))
-    if shift is None or any(k < 0 for k in shift):
-        raise OrderViolation(
-            f"{format_weight(mu)} is not >= {format_weight(top)} in the root order")
+    shift = order_exponent(cartan, top, mu)
     exps, mults = _module_table(cartan, top)
     tv = np.asarray([float(x) for x in t], dtype=float)
     return float(np.dot(mults, np.prod(tv ** (exps + shift), axis=1)))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import WeylWalksError
-from .rootdata import cartan_type, wadd, weight
+from .rootdata import cartan_type, weight
 from . import acceptance, boundary, chars, montecarlo, paths, polytope
 
 ENV_DIM_CAP = "WEYLWALKS_DIM_CAP"
@@ -238,16 +238,12 @@ def run(config: RunConfig) -> int:
 
     if config.command == "drift-invert":
         pt = boundary.invert_drift(cartan, delta, p["m"])
-        print(_emit(_point_doc(pt)))
+        print(_emit(pt.to_jsonable()))
         return 0
 
     if config.command == "measure-eval":
         meas = boundary.central_measure(cartan, delta, p["mode"], p["m"])
         lam = weight(p["lam"]) if p.get("lam") is not None else delta
-        if p["mode"] == "chamber":
-            # lambda itself first, then V(lambda + delta), the largest module used
-            for top in (lam, wadd(lam, delta)):
-                chars.check_weight(cartan, top, config.dim_cap)
         if config.fmt == "csv":
             print(boundary.kernel_rows_csv(meas, [lam]), end="")
             return 0
@@ -276,18 +272,6 @@ def run(config: RunConfig) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {config.command}")
-
-
-def _point_doc(pt) -> dict:
-    return {
-        "type": f"{pt.cartan.family}{pt.cartan.rank}",
-        "delta": [str(c) for c in pt.delta],
-        "t": [repr(x) for x in pt.t],
-        "w_word": [i + 1 for i in pt.w.word],
-        "drift": [repr(x) for x in pt.drift],
-        "s_hat": repr(boundary.s_hat_t(pt.cartan, pt.delta, pt.t))
-        if all(x > 0 for x in pt.t) else "inf",
-    }
 
 
 def main(argv=None) -> int:

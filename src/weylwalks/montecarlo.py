@@ -5,10 +5,11 @@ law-of-large-numbers checks, and exact equality in law for the Pitman chain
 RNG contract: numpy Generators seeded as default_rng([seed, rep]); per-rep
 streams are independent and the whole report is reproducible from
 (configuration, seed).  The chamber sampler walks on int weights and draws
-each move by inverse CDF, bisect_right(cdf, rng.random()) over the kernel
-row's cached CDF, as Generator.choice(n, p=row) does.  Rows hold on all of
-[0,1]^d: interior t keeps its streams, t with some t_i = 1 follows the
-documented law itself, and faces (t_i = 0) and t near 1 are supported.
+each move by inverse CDF, bisect_right(cdf, rng.random()) over the CDF of
+the measure's boundary.ChamberKernel table, whose probabilities kernel_row
+returns, as Generator.choice(n, p=row) does.  Rows hold on all of [0,1]^d:
+interior t keeps its streams, t with some t_i = 1 follows the documented
+law itself, and faces (t_i = 0) and t near 1 are supported.
 """
 
 from __future__ import annotations
@@ -81,52 +82,6 @@ def _free_letter_probs(measure):
     return arr / arr.sum()
 
 
-class _ChamberStepper:
-    """Chamber kernel rows at one t in [0,1]^d, one cached step table per vertex.
-
-    Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam}) with
-    S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels and a
-    row costs one batch of |W/W_I| terms per weight whatever dim V(lam).
-    """
-
-    def __init__(self, measure):
-        self.cartan = measure.cartan
-        self.delta = measure.delta
-        self.t = measure.point.t
-        self.s_delta = measure.point.s_delta
-        # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
-        exps = chars._free_exponents(self.cartan, self.delta, self.cartan.identity)
-        ends, _ = paths._letter_table(self.cartan, self.delta)
-        self.letter_monomials = [chars.monomial(self.t, exps[end]) for end in ends]
-        self.tables = {}
-
-    def table(self, lam):
-        """Cached step table out of the int weight lam: (targets, CDF, letters).
-
-        The CDF is the one `Generator.choice(n, p=probs)` builds, so
-        bisect_right(cdf, rng.random()) draws the same target from the same
-        stream; letters[k] lists the valid letters to targets[k] in index order.
-        """
-        cached = self.tables.get(lam)
-        if cached is not None:
-            return cached
-        moves = sorted(paths.chamber_moves(self.cartan, self.delta, lam).items())
-        nums = chars.weyl_numerator_batch(self.cartan, [lam] + [mu for mu, _ in moves], self.t)
-        probs = np.array([len(bs) * self.letter_monomials[bs[0]] for _, bs in moves])
-        probs *= nums[1:]
-        probs /= self.s_delta * nums[0]
-        total = probs.sum()
-        assert abs(total - 1.0) < chars.ROW_TOL, f"kernel row sums to {total}"
-        probs /= total
-        if not np.all(probs >= 0):
-            raise ValueError("probabilities are not non-negative")
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        out = ([mu for mu, _ in moves], cdf.tolist(), [bs for _, bs in moves])
-        self.tables[lam] = out
-        return out
-
-
 def sample_trajectory(measure, steps: int, seed) -> Trajectory:
     """Sample a length-`steps` walk under the measure, deterministic given seed.
 
@@ -150,13 +105,10 @@ def sample_trajectory(measure, steps: int, seed) -> Trajectory:
             lam = tuple(x + e for x, e in zip(lam, ends[b]))
             path.append(lam)
     else:
-        # step tables are pure; share them across trajectories of one measure
-        stepper = getattr(measure, "_chamber_stepper", None)
-        if stepper is None:
-            stepper = _ChamberStepper(measure)
-            measure._chamber_stepper = stepper
+        # the measure's step tables are shared across its trajectories
+        kernel = measure.chamber_kernel
         for _ in range(steps):
-            mus, cdf, letter_lists = stepper.table(lam)
+            mus, _, cdf, letter_lists = kernel.table(lam)
             k = bisect_right(cdf, rng.random())
             valid = letter_lists[k]
             # integers(1) draws no bits, so a lone letter needs no call

@@ -2,16 +2,19 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from weylwalks import (
+    InvalidWeight,
     NoConvergence,
     NotAWeight,
     NotDominantDrift,
     NotInPolytope,
+    OrderViolation,
     boundary_point,
     build_root_system,
     c_harmonic_level,
@@ -30,6 +33,7 @@ from weylwalks import (
 from weylwalks.boundary import (
     CentralMeasure,
     _face_newton,
+    _law_value,
     kernel_rows_csv,
     stabilizer_set,
 )
@@ -109,7 +113,9 @@ def test_psi_saturation_test_matches_path_counts():
                 ndelta = tuple(n * c for c in delta)
                 e = cartan.alpha_coords(tuple(a - b for a, b in
                                               zip(ndelta, cartan.apply(pt.w, gamma))))
-                assert value == chars.monomial(pt.t, e) / pt.s_delta**n
+                assert value == _law_value(pt.t, e, n, pt.s_delta)
+                assert value == pytest.approx(chars.monomial(pt.t, e) / pt.s_delta**n,
+                                              rel=1e-14, abs=0.0)
 
 
 def test_psi_not_a_weight_detail_is_readable():
@@ -342,6 +348,45 @@ def test_a1_level_two_probabilities():
     meas = central_measure(A1, (1,), "chamber", (0,))
     assert meas.p((2,), 2) == pytest.approx(3 / 4, rel=1e-12)
     assert meas.p((0,), 2) == pytest.approx(1 / 4, rel=1e-12)
+
+
+def test_a1_chamber_p_closed_form_at_large_n():
+    # S_{lam,lam}(t) = (1 - t^(lam+1)) / (1 - t) on V(lam) of sl2, and omega = alpha/2:
+    # p(200, 300) = t^50 S_{200,200}(t) / (1 + t)^300, exact in Fractions
+    lam, n = 200, 300
+    for t in (0.05, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0):
+        meas = CentralMeasure("chamber", boundary_point(A1, (1,), (t,)))
+        q = Fraction(t)
+        s_lam = sum(q**k for k in range(lam + 1))
+        exact = q ** ((n - lam) // 2) * s_lam / (1 + q) ** n
+        assert meas.p((lam,), n) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def test_chamber_p_where_s_delta_power_overflows():
+    # at t = 1, p(n delta, n) = dim V(n delta) / 8^n for the A2 adjoint; 8^342 =
+    # 2^1026 overflows binary64 but the quotient is a normal float near 5.6e-302
+    meas = central_measure(A2, (1, 1), "chamber", (0, 0))
+    assert meas.point.t == (1.0, 1.0)
+    n = 342
+    exact = Fraction(weyl_dim(A2, (n, n)), 8**n)
+    assert meas.p((n, n), n) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def test_chamber_laws_refuse_invalid_weights():
+    meas = central_measure(A2, (1, 1), "chamber", (0.3, 0.3))
+    for lam, detail in [((-1, 2), "(-1, 2) is not a dominant integral weight"),
+                        ((Fraction(1, 2), 0), "(1/2, 0) is not a dominant integral weight"),
+                        ((1,), "weight (1) has wrong rank")]:
+        for law in (partial_p(meas, 3), meas.kernel_row):
+            with pytest.raises(InvalidWeight, match=re.escape(detail)):
+                law(lam)
+    with pytest.raises(OrderViolation,
+                       match=re.escape("(1, 1) is not >= (2, 2) in the root order")):
+        meas.p((2, 2), 1)
+
+
+def partial_p(meas, n):
+    return lambda lam: meas.p(lam, n)
 
 
 def test_chamber_marginal_masses_sum_to_one():

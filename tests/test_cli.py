@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -201,6 +202,13 @@ def test_kernel_rows_print_plain_floats(capsys, mode, m, lam, fmt):
     (["--delta", "0,0", "--m", "0,0"], "delta must be nonzero"),
     (["--delta", "1,1", "--m", "0.3,0.3", "--lambda=-1,2"],
      "(-1, 2) is not a dominant integral weight"),
+    # csv prints the kernel row before p, so kernel_row itself must refuse
+    (["--delta", "1,1", "--m", "0.3,0.3", "--lambda=-1,2", "--format", "csv"],
+     "(-1, 2) is not a dominant integral weight"),
+    (["--delta", "1,1", "--m", "0.3,0.3", "--lambda", "1/2,0"],
+     "(1/2, 0) is not a dominant integral weight"),
+    (["--delta", "1,1", "--m", "0.3,0.3", "--lambda", "1/2,0", "--format", "csv"],
+     "(1/2, 0) is not a dominant integral weight"),
 ])
 def test_domain_input_errors_exit_2(capsys, args, detail):
     code, out, err = run_cli(capsys, "measure", "eval", "--type", "A2",
@@ -223,13 +231,28 @@ def test_error_details_print_plain_weights(capsys, args, error, detail):
 
 
 @pytest.mark.parametrize("cap", [["--dim-cap", "1000"], []])
-def test_measure_eval_honours_dimension_cap(capsys, cap):
-    # dim V(100, 100) = 1,030,301 exceeds both caps: refused before any table
+def test_chamber_eval_builds_no_table_of_lambda(capsys, cap):
+    # dim V(100, 100) = 1,030,301 exceeds both caps, but chamber p and kernel
+    # rows use Weyl numerators, never a table of V(lambda)
     code, out, err = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
                              "--mode", "chamber", "--m", "0.3,0.3", "--lambda", "100,100",
                              "--n", "100", *cap)
-    assert code == 2 and "Traceback" not in err
-    assert json.loads(out)["error"] == "DimensionCap"
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert 0.0 < float(doc["p"]) < 1.0 and math.isfinite(float(doc["p"]))
+    assert len(doc["kernel_row"]) == 7
+    assert abs(sum(float(q) for q in doc["kernel_row"].values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["free", "chamber"])
+def test_measure_eval_at_large_n_prints_json(capsys, mode):
+    # S_delta(t)^400 overflows binary64 (8^400 near t = 1); p is formed in log space
+    code, out, err = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
+                             "--mode", mode, "--m", "0.01,0.01", "--lambda", "0,0",
+                             "--n", "400")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["n"] == 400 and doc["p"] == "0.0"
 
 
 def test_crystal_dimension_cap_detail_prints_plain_weight(capsys):
@@ -328,7 +351,7 @@ def cli_argv(draw):
     if draw(st.booleans()):
         lam = [draw(st.integers(-1, 5)) for _ in range(cartan.rank)]
         argv += ["--lambda=" + ",".join(map(str, lam))]
-    return argv + ["--n", str(draw(st.integers(0, 4)))]
+    return argv + ["--n", str(draw(st.integers(0, 4) | st.integers(100, 999)))]
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,6 +14,8 @@ from weylwalks import (
     build_root_system,
     central_measure,
     lln_check,
+    harmonic_function_check,
+    harmonicity_residual,
     pitman_equality_in_law,
     random_boundary_point,
     sample_trajectory,
@@ -26,7 +28,6 @@ from weylwalks.chars import monomial
 from weylwalks.boundary import CentralMeasure
 from weylwalks.errors import EnumerationCap, NotDominantDrift
 from weylwalks.montecarlo import (
-    _ChamberStepper,
     _free_letter_probs,
     _pitman_law,
     trajectory_csv,
@@ -103,41 +104,43 @@ def test_free_sampler_mean_matches_drift():
     assert max(abs(a - b) for a, b in zip(emp, meas.point.drift)) < 0.08
 
 
-def table_row(stepper, lam):
-    """(targets, probabilities) of the cached step table out of lam."""
-    mus, cdf, _ = stepper.table(lam)
-    return mus, np.diff([0.0] + cdf)
-
-
 def chamber_measure(cartan, delta, t):
     return CentralMeasure("chamber", boundary_point(cartan, delta, t))
 
 
 def test_chamber_stepper_matches_direct_kernel():
-    # the Weyl-numerator table equals the S-ratio kernel on small vertices, on
-    # every {0, 1, interior} pattern of an admissible support
+    # the one row builder (the sampler's step table, which kernel_row returns)
+    # equals the positive-term kernel e S_{mu,lam+delta} / (S_delta S_lam) on
+    # small vertices, on every {0, 1, interior} pattern of an admissible support
     rng = np.random.default_rng(13)
     for cartan, delta in [(A1, weight((2,))), (A2, weight((1, 1))), (B2, weight((1, 0)))]:
         g = build_growth_graph(cartan, "chamber", delta, 3)
         for t in box_patterns(cartan, delta, rng):
             meas = chamber_measure(cartan, delta, t)
-            stepper = _ChamberStepper(meas)
+            s_delta = chars.evaluate_S(cartan, delta, delta, t)
             for n in range(3):
                 for lam in g.levels[n]:
-                    mus, probs = table_row(stepper, lam)
-                    direct = meas.kernel_row(lam)
-                    assert set(direct) <= set(mus)
-                    for mu, q in zip(mus, probs):
-                        assert q == pytest.approx(direct.get(mu, 0.0),
-                                                  rel=1e-12, abs=1e-14)
+                    s_lam = chars.evaluate_S(cartan, lam, lam, t)
+                    target = tuple(a + b for a, b in zip(lam, delta))
+                    direct = {}
+                    for mu, letters in chamber_moves(cartan, delta, int_weight(lam)).items():
+                        val = len(letters) * chars.evaluate_S(cartan, mu, target, t) \
+                            / (s_delta * s_lam)
+                        if val:
+                            direct[weight(mu)] = val
+                    row = meas.kernel_row(lam)
+                    mus, probs, _, _ = meas.chamber_kernel.table(int_weight(lam))
+                    assert row == {weight(mu): q for mu, q in zip(mus, probs) if q}
+                    assert set(row) == set(direct)
+                    for mu, q in row.items():
+                        assert q == pytest.approx(direct[mu], rel=1e-12, abs=1e-14)
 
 
 def test_chamber_stepper_dimension_kernel_at_ones():
     meas = central_measure(A1, (1,), "chamber", (0,))
     assert meas.point.t == (1.0,)
-    mus, probs = table_row(_ChamberStepper(meas), (3,))
     expected = {(4,): 5 / 8, (2,): 3 / 8}
-    assert {mu: pytest.approx(p) for mu, p in zip(mus, probs)} == expected
+    assert meas.kernel_row((3,)) == {mu: pytest.approx(p) for mu, p in expected.items()}
 
 
 @pytest.mark.parametrize("cartan, delta", [
@@ -160,23 +163,23 @@ def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
             for lam in level]
     lams.append(tuple(7 * c + 3 for c in delta))
     for t in ts:
-        meas = chamber_measure(cartan, delta, t)
-        stepper = _ChamberStepper(meas)
+        kernel = chamber_measure(cartan, delta, t).chamber_kernel
         for lam in lams:
             lam = int_weight(lam)
             moves = sorted(chamber_moves(cartan, delta, lam).items())
             nums = chars.weyl_numerator_batch(cartan, [lam] + [mu for mu, _ in moves], t)
             total = sum(len(bs) * monomial(t, exps[wsub(mu, lam)]) * num
                         for (mu, bs), num in zip(moves, nums[1:]))
-            assert abs(total / (meas.point.s_delta * nums[0]) - 1.0) < 1e-12, (t, lam)
-            stepper.table(lam)  # asserts the same bound on its own row
+            assert abs(total / (kernel.point.s_delta * nums[0]) - 1.0) < 1e-12, (t, lam)
+            kernel.table(lam)  # asserts the same bound on its own row
 
 
 def test_chamber_rows_stay_on_the_delta_module(monkeypatch):
-    # at every t, a new row is one Weyl-numerator batch, and no character of a
-    # module beyond V(delta) is evaluated or built by Freudenthal
+    # at every t, a new sampler row is one Weyl-numerator batch, and no chamber
+    # law (p, kernel rows, harmonicity, the harmonic-function check, Pitman)
+    # evaluates the character of a module beyond V(delta) or builds its table
     seen = []
-    for name in ("evaluate_S", "_weight_multiplicities"):
+    for name in ("evaluate_S", "_module_table", "_weight_multiplicities"):
         real = getattr(chars, name)
         monkeypatch.setattr(chars, name, lambda cartan, lam, *args, _real=real:
                             seen.append(int_weight(lam)) or _real(cartan, lam, *args))
@@ -189,7 +192,14 @@ def test_chamber_rows_stay_on_the_delta_module(monkeypatch):
         meas = chamber_measure(A2, (1, 1), t)
         batches.clear()
         sample_trajectory(meas, 60, seed=4)
-        assert len(batches) == len(meas._chamber_stepper.tables)
+        assert len(batches) == len(meas.chamber_kernel.tables)
+        meas = chamber_measure(A2, (1, 1), t)
+        for lam in [(0, 0), (1, 1), (3, 0), (2, 2), (40, 40)]:
+            meas.p(lam, 70)
+            meas.kernel_row(lam)
+        harmonicity_residual(meas, 3)
+    harmonic_function_check(A2, (1, 1), (0.6, 0.3), n_max=3)
+    pitman_equality_in_law(A2, (1, 1), (0.2, 0.1), 3)
     assert set(seen) == {(1, 1)}
 
 
@@ -199,12 +209,12 @@ def reference_chamber_walk(measure, steps, seed):
     cartan = measure.cartan
     rng = np.random.default_rng(seed)
     ends, floors = _letter_data(cartan, measure.delta)
-    stepper = _ChamberStepper(measure)
     lam = wzero(cartan.rank)
     letters, positions = [], [lam]
     for _ in range(steps):
-        mus, probs = table_row(stepper, lam)
-        mu = mus[int(rng.choice(len(mus), p=probs))]
+        row = measure.kernel_row(lam)
+        mus = list(row)
+        mu = mus[int(rng.choice(len(mus), p=list(row.values())))]
         eps = wsub(mu, lam)
         valid = [b for b, end in enumerate(ends)
                  if end == eps and all(lam[k] + floors[b][k] >= 0
@@ -238,8 +248,10 @@ def test_chamber_sampler_matches_reference_loop(cartan, delta):
 def test_negative_kernel_entry_is_rejected(monkeypatch):
     # a row that sums to 1 but has a negative entry fails as Generator.choice did
     meas = central_measure(A1, (1,), "chamber", (0.3,))
-    (down, up), (p_down, p_up) = table_row(_ChamberStepper(meas), (1,))
+    row = meas.kernel_row((1,))
+    (down, up), (p_down, p_up) = row.keys(), row.values()
     assert (down, up) == ((0,), (2,))
+    meas = CentralMeasure("chamber", meas.point)  # no cached rows
     real = chars.weyl_numerator_batch
 
     def skewed(cartan, lams, t):
