@@ -20,8 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NoConvergence, NotAWeight, NotDominantDrift, format_weight
-from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, \
-    weight, wadd, wsub
+from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, wadd, wsub
 from . import chars, paths, polytope
 
 NEWTON_GRAD_TOL = 1e-12
@@ -34,7 +33,7 @@ CLAMP_TO_ONE = 1e-9
 def _delta_tables(cartan, delta):
     """Per-(cartan, delta) arrays: weights, multiplicities, exponents of delta-gamma."""
     gammas = sorted(chars.weight_multiplicities(cartan, delta).entries)
-    exps, mults = chars._module_table(cartan, int_weight(delta))
+    exps, mults = chars._module_table(cartan, delta)
     coords = np.array([[float(c) for c in g] for g in gammas])
     return gammas, mults, coords, exps.astype(float)
 
@@ -46,7 +45,7 @@ def stabilizer_set(cartan: CartanDatum, delta, t) -> tuple:
     by the support of t; the extra walls occur only when delta is orthogonal
     to some simple root.
     """
-    delta = weight(delta)
+    delta = chars.check_weight(cartan, delta)
     t = tuple(float(x) for x in t)
     support = {i for i, x in enumerate(t) if x != 0.0}
     ones = {i for i, x in enumerate(t) if x == 1.0}
@@ -66,12 +65,12 @@ class BoundaryPoint:
 
     t lies in the restricted box (support is delta-admissible) and w is the
     minimal right-coset representative modulo the stabilizer of the drift's
-    dominant representative; drift is computed lazily.
+    dominant representative; delta is an int tuple and drift is computed lazily.
     """
 
     def __init__(self, cartan: CartanDatum, delta, t, w: WeylElement):
         self.cartan = cartan
-        self.delta = weight(delta)
+        self.delta = chars.check_weight(cartan, delta)
         self.t = tuple(float(x) for x in t)
         self.w = w
         if not polytope.in_unit_box_delta(cartan, self.delta, self.t):
@@ -133,7 +132,6 @@ def random_boundary_point(cartan: CartanDatum, delta, rng,
                           force_support=None, force_ones=None) -> BoundaryPoint:
     """Random canonical point: admissible support, interior or exactly-1 values,
     and a canonicalized random Weyl element (identity for chamber points)."""
-    delta = weight(delta)
     adms = polytope.admissible_subsets(cartan, delta)
     if force_support is None:
         support = adms[int(rng.integers(len(adms)))].indices
@@ -174,13 +172,12 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
     V(delta)^(x)n are those of V(n delta), so gamma is one iff it is integral
     and n delta minus its dominant representative lies in Q+ (saturation)."""
     cartan = point.cartan
-    top = int_weight(point.delta)
     g = int_weight(gamma)
     below = None if g is None else \
-        chars.free_exponent(cartan, top, cartan.identity, n, chars._dominant(cartan, g))
+        chars.free_exponent(cartan, point.delta, cartan.identity, n, chars._dominant(cartan, g))
     if below is None or min(below) < 0:
         raise NotAWeight(f"{format_weight(gamma)} is not a weight at level {n}")
-    e = chars.free_exponent(cartan, top, point.w, n, g)
+    e = chars.free_exponent(cartan, point.delta, point.w, n, g)
     assert min(e) >= 0
     return _law_value(point.t, e, n, point.s_delta)
 
@@ -260,7 +257,7 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
     Procedure: exact face location of m, t_i = 0 off the face, damped Newton
     in log coordinates on the face (gradient tolerance 1e-12), clamp t_i to 1
     within 1e-9, re-canonicalize w.  Round trips close within 1e-8."""
-    delta = weight(delta)
+    delta = chars.check_weight(cartan, delta)
     loc = polytope.locate(cartan, delta, m, strict=True)
     support = loc.face.indices
     target = cartan.alpha_coords(wsub(delta, loc.y))
@@ -364,22 +361,26 @@ class CentralMeasure:
         if self.kind == "free":
             return psi_eval(self.point, lam, n)
         top = chars.check_weight(self.cartan, lam)
-        ndelta = tuple(n * c for c in int_weight(self.delta))
+        ndelta = tuple(n * c for c in self.delta)
         num = self.chamber_kernel.numerator  # S_{lam,lam} = N_lam / N_0
         return _law_value(self.point.t, chars.order_exponent(self.cartan, top, ndelta), n,
                           self.point.s_delta, math.log(num(top) / num((0,) * len(top))))
 
     def kernel_row(self, lam) -> dict:
-        """Transition probabilities out of lam (from any level, homogeneous);
-        a chamber row is its ChamberKernel table, keyed by exact weights."""
+        """Transition probabilities out of lam (from any level, homogeneous),
+        keyed by int tuples; a chamber row is its ChamberKernel table.  lam
+        must be integral (NotAWeight) and, for a chamber row, dominant
+        (InvalidWeight)."""
         if self.kind == "chamber":
             mus, probs, _, _ = self.chamber_kernel.table(chars.check_weight(self.cartan, lam))
-            return {weight(mu): q for mu, q in zip(mus, probs.tolist()) if q}
-        lam = weight(lam)
+            return {mu: q for mu, q in zip(mus, probs.tolist()) if q}
+        start = int_weight(lam)
+        if start is None:
+            raise NotAWeight(f"{format_weight(lam)} is not an integral weight")
         gammas, mults, _, _ = _delta_tables(self.cartan, self.delta)
         exps = chars._free_exponents(self.cartan, self.delta, self.point.w).values()
         # the weights gamma of V(delta) are distinct, and so are the targets
-        return {wadd(lam, g): q for g, k, e in zip(gammas, mults.tolist(), exps)
+        return {wadd(start, g): q for g, k, e in zip(gammas, mults.tolist(), exps)
                 if (q := k * chars.monomial(self.point.t, e) / self.point.s_delta)}
 
     def to_jsonable(self) -> dict:
@@ -414,7 +415,6 @@ def harmonicity_residual(measure: CentralMeasure, n_max: int) -> float:
 
 def s_hat_t(cartan: CartanDatum, delta, t) -> float:
     """s_delta evaluated at t: S_delta(t) / t^delta, +inf when some t_i = 0."""
-    delta = weight(delta)
     t = tuple(float(x) for x in t)
     if any(x == 0.0 for x in t):
         return math.inf
@@ -482,7 +482,7 @@ def c_harmonic_level(cartan: CartanDatum, delta, c: float) -> CHarmonicLevel:
     sampler of the level set {s_hat = c dim V(delta)}."""
     if c <= 0:
         raise ValueError("c must be positive")
-    delta = weight(delta)
+    delta = chars.check_weight(cartan, delta)
     if c < 1:
         kind = "empty"
     elif c == 1:
@@ -497,7 +497,6 @@ def harmonic_function_check(cartan: CartanDatum, delta, t, n_max: int = 4) -> fl
 
     max over dominant vertices lam at levels <= n_max of
     |s_lam(t) - (1/(cZ)) sum_mu e(lam, mu) s_mu(t)|; t must lie in (0, 1]^d."""
-    delta = weight(delta)
     t = tuple(float(x) for x in t)
     if any(x <= 0 or x > 1 for x in t):
         raise ValueError("t must lie in the half-open box (0, 1]^d")
@@ -527,7 +526,6 @@ def kernel_rows_csv(measure: CentralMeasure, lams) -> str:
     writer = csv.writer(buf)
     writer.writerow(["lambda", "mu", "probability"])
     for lam in lams:
-        lam = weight(lam)
         for mu, q in sorted(measure.kernel_row(lam).items()):
             writer.writerow([
                 " ".join(str(c) for c in lam),

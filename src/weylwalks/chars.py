@@ -18,8 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionCap, InvalidWeight, OrderViolation, format_weight
-from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, weight, \
-    wadd, wsub, wzero
+from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, wadd, wsub
 
 DEFAULT_DIM_CAP = 10**6
 
@@ -68,7 +67,8 @@ def _weyl_dim(cartan, lam):
 
 
 def weight_multiplicities(cartan: CartanDatum, lam, dim_cap: int = DEFAULT_DIM_CAP) -> WeightMultiset:
-    """Weight multiset of V(lambda) by the Freudenthal recursion.
+    """Weight multiset of V(lambda) by the Freudenthal recursion, keyed by int
+    tuples.
 
     Dominant weights mu <= lambda are processed by increasing height of
     lambda - mu; non-dominant multiplicities come for free by W-invariance.
@@ -79,40 +79,50 @@ def weight_multiplicities(cartan: CartanDatum, lam, dim_cap: int = DEFAULT_DIM_C
 
 @lru_cache(maxsize=None)
 def _weight_multiplicities(cartan, lam):
-    lam = weight(lam)
-    lowest = cartan.apply(cartan.w0, lam)
-    kmax = cartan.int_alpha_coords(wsub(lam, lowest))
-    assert kmax is not None and all(k >= 0 for k in kmax)
+    # the dominant weights below lam, reached from lam by subtracting positive
+    # roots through dominant weights only (Stembridge 1998), with their heights
+    roots = [(alpha, sum(cartan.int_alpha_coords(alpha))) for alpha in cartan.positive_roots]
+    height = {lam: 0}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for nu in frontier:
+            for alpha, h in roots:
+                mu = tuple(x - a for x, a in zip(nu, alpha))
+                if min(mu) >= 0 and mu not in height:
+                    height[mu] = height[nu] + h
+                    nxt.append(mu)
+        frontier = nxt
 
-    dominants = []
-    for ks in itertools.product(*(range(k + 1) for k in kmax)):
-        mu = wsub(lam, cartan.from_alpha(ks))
-        if cartan.is_dominant(mu):
-            dominants.append((sum(ks), mu))
-    dominants.sort()
+    # Freudenthal in the integer form den * (,) on omega-coordinates
+    den = math.lcm(*(x.denominator for row in cartan._omega_form for x in row))
+    form = [[int(x * den) for x in row] for row in cartan._omega_form]
 
+    def pairing(v, u):
+        return sum(x * sum(f * y for f, y in zip(row, u)) for x, row in zip(v, form))
+
+    form_roots = [(alpha, [sum(f * a for f, a in zip(row, alpha)) for row in form])
+                  for alpha, _ in roots]
     lam_rho = wadd(lam, cartan.rho)
-    c_top = cartan.pairing(lam_rho, lam_rho)
+    c_top = pairing(lam_rho, lam_rho)
     mult_dom = {}
-    for height, mu in dominants:
-        if height == 0:
+    for h, mu in sorted((h, mu) for mu, h in height.items()):
+        if h == 0:
             mult_dom[mu] = 1
             continue
         mu_rho = wadd(mu, cartan.rho)
-        denom = c_top - cartan.pairing(mu_rho, mu_rho)
-        assert denom > 0
-        acc = Fraction(0)
-        for alpha in cartan.positive_roots:
+        acc = 0
+        for alpha, f_alpha in form_roots:
             nu = mu
             while True:
                 nu = wadd(nu, alpha)
                 m = mult_dom.get(_dominant(cartan, nu))
                 if m is None:
                     break
-                acc += m * cartan.pairing(nu, alpha)
-        val = 2 * acc / denom
-        assert val.denominator == 1 and val > 0
-        mult_dom[mu] = int(val)
+                acc += m * sum(x * y for x, y in zip(nu, f_alpha))
+        val, rem = divmod(2 * acc, c_top - pairing(mu_rho, mu_rho))
+        assert rem == 0 and val > 0
+        mult_dom[mu] = val
 
     entries = {}
     for mu, m in mult_dom.items():
@@ -189,9 +199,8 @@ def free_exponent(cartan: CartanDatum, delta, w: WeylElement, n: int, gamma):
 def _free_exponents(cartan, delta, w):
     """{gamma: alpha(delta - w gamma)} over the weights gamma of V(delta) as
     int tuples, in sorted order: the free walk's one-step exponents."""
-    top = int_weight(delta)
-    gammas = sorted(int_weight(g) for g in weight_multiplicities(cartan, delta).entries)
-    return {gamma: free_exponent(cartan, top, w, 1, gamma) for gamma in gammas}
+    gammas = sorted(weight_multiplicities(cartan, delta).entries)
+    return {gamma: free_exponent(cartan, delta, w, 1, gamma) for gamma in gammas}
 
 
 # -- decomposition into irreducibles -----------------------------------------
@@ -209,7 +218,7 @@ def decompose_character(cartan: CartanDatum, entries: dict) -> dict:
     while work:
         cands = [nu for nu in work if cartan.is_dominant(nu)]
         assert cands, f"nonempty multiset without dominant support: {work}"
-        nu = max(cands, key=lambda x: (sum(cartan.alpha_coords(x)), x))
+        nu = check_weight(cartan, max(cands, key=lambda x: (sum(cartan.alpha_coords(x)), x)))
         m = work[nu]
         assert m > 0
         out[nu] = out.get(nu, 0) + m
@@ -267,7 +276,7 @@ def _exterior_power_weights(cartan, delta, k):
     for gamma, m in sorted(_weight_multiplicities(cartan, delta).entries.items()):
         letters.extend([gamma] * m)
     layers = [{} for _ in range(k + 1)]
-    layers[0][wzero(cartan.rank)] = 1
+    layers[0][(0,) * cartan.rank] = 1
     for gamma in letters:
         for deg in range(k, 0, -1):
             for g, m in layers[deg - 1].items():
@@ -302,7 +311,7 @@ def wedge_sequence_values(cartan: CartanDatum, delta, t, w: WeylElement) -> list
     for k in range(n + 1):
         acc = 0.0
         for gamma, m in exterior_power_weights(cartan, delta, k).items():
-            e = free_exponent(cartan, delta, w, k, int_weight(gamma))
+            e = free_exponent(cartan, delta, w, k, gamma)
             assert min(e) >= 0
             acc += m * monomial(tv, e)
         out.append(acc / s_delta**k)
@@ -374,7 +383,7 @@ def _coset_pack(cartan, ones):
 def _exact_numerator(cartan, reps, coroots, lam, t) -> float:
     """The same coset sum in integers, rounded once: t_i = p_i/q_i with q_i a
     power of two, so the sum is an integer over prod q_i^M_i."""
-    mu = tuple(c + 1 for c in int_weight(lam))  # lam + rho
+    mu = tuple(c + 1 for c in lam)  # lam + rho
     terms = []
     for u in reps:
         image = cartan.apply(u, mu)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import WeylWalksError
-from .rootdata import cartan_type, weight
+from .rootdata import cartan_type
 from . import acceptance, boundary, chars, montecarlo, paths, polytope
 
 ENV_DIM_CAP = "WEYLWALKS_DIM_CAP"
@@ -34,8 +34,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     seed: int = None
     fmt: str = "json"
-    dim_cap: int = chars.DEFAULT_DIM_CAP
-    level_cap: int = paths.DEFAULT_LEVEL_CAP
 
 
 def _token(token: str, decimal):
@@ -81,10 +79,7 @@ def _add_common(sub, need_delta=True):
                          help="highest weight, omega-coordinates, e.g. 1,0")
     sub.add_argument("--format", dest="fmt", choices=("json", "csv"),
                      default="json")
-    sub.add_argument("--dim-cap", type=int,
-                     default=_env_int(ENV_DIM_CAP, chars.DEFAULT_DIM_CAP))
-    sub.add_argument("--level-cap", type=int,
-                     default=_env_int(ENV_LEVEL_CAP, paths.DEFAULT_LEVEL_CAP))
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,14 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cry = top.add_parser("crystal", help="the path crystal B(delta)")
     cry_sub = cry.add_subparsers(dest="verb", required=True)
-    _add_common(cry_sub.add_parser("build"))
+    _add_common(cry_sub.add_parser("build")).add_argument(
+        "--dim-cap", type=int, default=_env_int(ENV_DIM_CAP, chars.DEFAULT_DIM_CAP))
 
     gr = top.add_parser("graph", help="growth graphs")
     gr_sub = gr.add_subparsers(dest="verb", required=True)
-    g = gr_sub.add_parser("build")
-    _add_common(g)
+    g = _add_common(gr_sub.add_parser("build"))
     g.add_argument("--kind", choices=("free", "chamber"), required=True)
     g.add_argument("--nmax", type=int, required=True)
+    g.add_argument("--level-cap", type=int,
+                   default=_env_int(ENV_LEVEL_CAP, paths.DEFAULT_LEVEL_CAP))
 
     poly = top.add_parser("polytope", help="the weight polytope K(delta)")
     poly_sub = poly.add_subparsers(dest="verb", required=True)
@@ -169,7 +166,7 @@ def parse(argv) -> RunConfig:
     if getattr(ns, "delta", None) is not None:
         delta = _broadcast(ns.delta, cartan.rank, "--delta")
     params = {}
-    for key in ("kind", "nmax", "mode", "lam", "n", "m", "steps"):
+    for key in ("kind", "nmax", "mode", "lam", "n", "m", "steps", "dim_cap", "level_cap"):
         if hasattr(ns, key):
             params[key] = getattr(ns, key)
     if "m" in params:
@@ -179,7 +176,7 @@ def parse(argv) -> RunConfig:
     return RunConfig(
         command=command, family=cartan.family, rank=cartan.rank,
         delta=delta, params=params, seed=getattr(ns, "seed", None),
-        fmt=ns.fmt, dim_cap=ns.dim_cap, level_cap=ns.level_cap,
+        fmt=ns.fmt,
     )
 
 
@@ -208,7 +205,7 @@ def run(config: RunConfig) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     cartan = cartan_type(f"{config.family}{config.rank}")
-    delta = weight(config.delta) if config.delta else None
+    delta = chars.check_weight(cartan, config.delta) if config.delta else None
     p = config.params
 
     if config.command == "root-info":
@@ -216,7 +213,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "crystal-build":
-        cb = paths.generate_crystal(cartan, delta, dim_cap=config.dim_cap)
+        cb = paths.generate_crystal(cartan, delta, dim_cap=p["dim_cap"])
         doc = {
             "size": len(cb.paths),
             "endpoints": [[str(c) for c in e] for e in cb.endpoints()],
@@ -227,7 +224,7 @@ def run(config: RunConfig) -> int:
 
     if config.command == "graph-build":
         g = paths.build_growth_graph(cartan, p["kind"], delta, p["nmax"],
-                                     level_cap=config.level_cap)
+                                     level_cap=p["level_cap"])
         print(_emit({"kind": g.kind, "levels": paths.graph_levels_jsonable(g)}))
         return 0
 
@@ -243,7 +240,7 @@ def run(config: RunConfig) -> int:
 
     if config.command == "measure-eval":
         meas = boundary.central_measure(cartan, delta, p["mode"], p["m"])
-        lam = weight(p["lam"]) if p.get("lam") is not None else delta
+        lam = p["lam"] or delta
         if config.fmt == "csv":
             print(boundary.kernel_rows_csv(meas, [lam]), end="")
             return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationCap, NotDominantDrift
-from .rootdata import CartanDatum, int_weight, weight
+from .rootdata import CartanDatum
 from . import boundary, chars, paths
 
 LLN_PASS_THRESHOLD = 0.05  # at 5000 steps, about 3.5 standard errors (see lln_check)
@@ -30,7 +30,8 @@ LLN_PASS_THRESHOLD = 0.05  # at 5000 steps, about 3.5 standard errors (see lln_c
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sampled walk: crystal-letter indices and exact positions at integer times."""
+    """A sampled walk: crystal-letter indices and its positions at integer
+    times, int tuples."""
 
     letters: tuple
     positions: tuple
@@ -116,9 +117,7 @@ def sample_trajectory(measure, steps: int, seed) -> Trajectory:
                            else valid[0])
             lam = mus[k]
             path.append(lam)
-    exact = {v: weight(v) for v in set(path)}
-    return Trajectory(letters=tuple(letters),
-                      positions=tuple(exact[v] for v in path), seed=seed)
+    return Trajectory(letters=tuple(letters), positions=tuple(path), seed=seed)
 
 
 def lln_check(measure, steps: int, reps: int, seed: int = 0,
@@ -181,13 +180,13 @@ def pitman_equality_in_law(cartan: CartanDatum, delta, m, n: int,
     m must lie in K(delta)+.  The free letter law goes through the chain along
     the fixed reduced word of w0 by a dynamic program over the chain's causal
     states (_pitman_law), equal to enumerating all |B(delta)|^n words."""
-    delta = weight(delta)
+    delta = chars.check_weight(cartan, delta)
     point = boundary.invert_drift(cartan, delta, m)
     if point.w != cartan.identity:
         raise NotDominantDrift(f"{m} is not in K(delta)+")
     free = boundary.CentralMeasure("free", point)
     chamber = boundary.CentralMeasure("chamber", point)
-    pushed = _pitman_law(cartan, int_weight(delta), _free_letter_probs(free), n, cap)
+    pushed = _pitman_law(cartan, delta, _free_letter_probs(free), n, cap)
     assert all(cartan.is_dominant(end) for end in pushed)
 
     exact = {}

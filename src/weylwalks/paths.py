@@ -4,18 +4,22 @@ Pitman transforms, and highest-weight witnesses along Dynkin subchains.
 
 All path arithmetic is exact: durations, velocities and breakpoints are
 Fractions, and chamber tests are decided at breakpoints only (piecewise
-linearity makes that exact).
+linearity makes that exact).  The integral weights around the paths are int
+tuples: the highest weight delta, the letters' endpoints and chamber
+thresholds (one table per crystal, _letter_table), and the vertices of the
+growth graphs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import LevelCap, NotAdmissible
-from .rootdata import CartanDatum, int_weight, weight, wadd, wsub, wscale, wzero
+from .rootdata import CartanDatum, int_weight, weight, wadd, wscale, wzero
 from . import chars
 
 DEFAULT_LEVEL_CAP = 200000
@@ -213,8 +217,7 @@ class CrystalB:
 
 def generate_crystal(cartan: CartanDatum, delta, dim_cap: int = chars.DEFAULT_DIM_CAP) -> CrystalB:
     """Close the straight path to delta under all lowering operators."""
-    delta = weight(delta)
-    chars.check_weight(cartan, delta, dim_cap)
+    delta = chars.check_weight(cartan, delta, dim_cap)
     pi0 = straight_path(delta)
     paths = [pi0]
     index = {pi0: 0}
@@ -241,13 +244,12 @@ _crystal_cached = lru_cache(maxsize=None)(generate_crystal)
 
 
 def crystal(cartan, delta) -> CrystalB:
-    """Cached crystal for exact tuple input."""
-    return _crystal_cached(cartan, weight(delta))
+    """Cached crystal of B(delta), keyed by delta as an int tuple."""
+    return _crystal_cached(cartan, chars.check_weight(cartan, delta))
 
 
 def in_chamber(cartan: CartanDatum, path: PLPath, base) -> bool:
     """Whether base + path stays in the dominant chamber, decided at breakpoints."""
-    base = weight(base)
     return all(
         all(c >= 0 for c in wadd(base, pos))
         for _, pos in path.breakpoints()
@@ -255,50 +257,37 @@ def in_chamber(cartan: CartanDatum, path: PLPath, base) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _letter_data(cartan, delta):
-    """Per crystal letter: (endpoint, componentwise breakpoint minimum).
-
-    Letter b is chamber-valid from base x iff x + floor_b >= 0 componentwise.
-    """
-    cb = crystal(cartan, delta)
-    ends = []
-    floors = []
-    for p in cb.paths:
-        ends.append(p.endpoint())
-        bps = [pos for _, pos in p.breakpoints()]
-        floors.append(tuple(min(pos[k] for pos in bps) for k in range(cartan.rank)))
-    return tuple(ends), tuple(floors)
-
-
-@lru_cache(maxsize=None)
 def _letter_table(cartan, delta):
-    """Per crystal letter: (endpoint, validity threshold) as int tuples.
+    """Per crystal letter of B(delta), delta an int tuple: (endpoint, validity
+    threshold) as int tuples, read once from the letter's Fraction breakpoints.
 
     From an integral weight lam, letter b is chamber-valid iff
-    lam_k >= threshold_b[k] for every k, where threshold_b[k] = ceil(-floor_b[k]).
-    The minima of a Littelmann path's coroot heights are integers, so this is
-    -floor_b[k]; the ceiling keeps the test exact without relying on that.
+    lam_k >= threshold_b[k] for every k, where threshold_b[k] is the ceiling of
+    minus the least breakpoint coordinate k.  The minima of a Littelmann path's
+    coroot heights are integers; the ceiling keeps the test exact without
+    relying on that.
     """
-    ends, floors = _letter_data(cartan, delta)
-    int_ends = tuple(int_weight(e) for e in ends)
-    assert None not in int_ends
-    thresholds = tuple(tuple(-math.floor(f) for f in floor) for floor in floors)
-    return int_ends, thresholds
+    ends, thresholds = [], []
+    for p in crystal(cartan, delta).paths:
+        bps = [pos for _, pos in p.breakpoints()]
+        ends.append(int_weight(bps[-1]))
+        thresholds.append(tuple(-math.floor(min(col)) for col in zip(*bps)))
+    assert None not in ends
+    return tuple(ends), tuple(thresholds)
 
 
 def chamber_moves(cartan, delta, lam) -> dict:
-    """Chamber-valid letters out of the integral dominant weight lam.
+    """Chamber-valid letters out of lam, for int tuples delta and lam.
 
-    Returns {mu: [b, ...]}: each target mu = lam + endpoint_b with the letters
-    reaching it in increasing index order; targets appear in the order of their
-    first letter.  Integer lam gives int targets, Fraction lam Fraction ones.
+    Returns {mu: [b, ...]}: each int target mu = lam + endpoint_b with the
+    letters reaching it in increasing index order; targets appear in the order
+    of their first letter.
     """
     ends, thresholds = _letter_table(cartan, delta)
     moves = {}
     for b, (end, threshold) in enumerate(zip(ends, thresholds)):
-        if all(x >= y for x, y in zip(lam, threshold)):
-            mu = tuple(x + e for x, e in zip(lam, end))
-            moves.setdefault(mu, []).append(b)
+        if all(map(operator.ge, lam, threshold)):
+            moves.setdefault(tuple(map(operator.add, lam, end)), []).append(b)
     return moves
 
 
@@ -311,6 +300,7 @@ class GrowthGraph:
 
     levels[n] maps a weight to the exact number of length-n paths ending there;
     edges[n] maps a level-n weight to a list of (next weight, multiplicity).
+    delta and every weight are int tuples.
     """
 
     kind: str
@@ -333,17 +323,18 @@ def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
     """
     if kind not in ("free", "chamber"):
         raise ValueError("kind must be 'free' or 'chamber'")
-    return _build_growth_graph(cartan, kind, weight(delta), int(n_max), int(level_cap))
+    return _build_growth_graph(cartan, kind, chars.check_weight(cartan, delta),
+                               int(n_max), int(level_cap))
 
 
 @lru_cache(maxsize=None)
 def _build_growth_graph(cartan, kind, delta, n_max, level_cap):
-    ends, _ = _letter_data(cartan, delta)
+    ends, _ = _letter_table(cartan, delta)
     free_steps = {}
     for e in ends:
         free_steps[e] = free_steps.get(e, 0) + 1
 
-    levels = [{wzero(cartan.rank): 1}]
+    levels = [{(0,) * cartan.rank: 1}]
     edges = []
     for n in range(n_max):
         cur = levels[-1]
@@ -353,7 +344,7 @@ def _build_growth_graph(cartan, kind, delta, n_max, level_cap):
             row = {}
             if kind == "free":
                 for gamma, k in free_steps.items():
-                    mu = wadd(lam, gamma)
+                    mu = tuple(map(operator.add, lam, gamma))
                     row[mu] = row.get(mu, 0) + k
             else:
                 for mu, letters in chamber_moves(cartan, delta, lam).items():
@@ -376,12 +367,12 @@ def count_paths(cartan: CartanDatum, kind: str, delta, lam, n: int,
     kind: the multiplicity of V(lam) in V(delta)^(x)n.
     """
     g = build_growth_graph(cartan, kind, delta, n, level_cap)
-    return g.levels[n].get(weight(lam), 0)
+    return g.levels[n].get(tuple(lam), 0)
 
 
 def word_path(cartan: CartanDatum, delta, word) -> PLPath:
     """Concatenation of the crystal letters named by `word`."""
-    cb = crystal(cartan, weight(delta))
+    cb = crystal(cartan, delta)
     out = PLPath(())
     for b in word:
         out = concat(out, cb.paths[b])
@@ -475,7 +466,7 @@ def highest_weight_witness(cartan: CartanDatum, delta, subset, i: int,
     """
     from .polytope import admissible_depths, is_admissible
 
-    delta = weight(delta)
+    delta = chars.check_weight(cartan, delta)
     subset = tuple(sorted(set(subset)))
     if not is_admissible(cartan, delta, subset) or i not in subset:
         raise NotAdmissible(f"subset {subset} with root {i} is not usable for {delta}")
@@ -483,10 +474,9 @@ def highest_weight_witness(cartan: CartanDatum, delta, subset, i: int,
     allowed = {j for j in subset if depths[j] < depths[i]}
     for n in range(1, n_cap + 1):
         g = build_growth_graph(cartan, "chamber", delta, n)
-        ndelta = wscale(n, delta)
         hits = []
         for lam in g.levels[n]:
-            k = cartan.int_alpha_coords(wsub(ndelta, lam))
+            k = cartan.int_alpha_coords(tuple(n * d - x for d, x in zip(delta, lam)))
             if k is None or any(c < 0 for c in k):
                 continue
             if k[i] != 1:

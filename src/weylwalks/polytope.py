@@ -112,7 +112,6 @@ class DominantFace:
 
 def is_admissible(cartan: CartanDatum, delta, subset) -> bool:
     """Every Dynkin component of `subset` meets a root non-orthogonal to delta."""
-    delta = weight(delta)
     subset = sorted(set(subset))
     todo = set(subset)
     while todo:
@@ -133,7 +132,6 @@ def is_admissible(cartan: CartanDatum, delta, subset) -> bool:
 def admissible_depths(cartan: CartanDatum, delta, subset) -> dict:
     """Depth of each root in `subset`: length of its shortest Dynkin subchain
     inside `subset` ending at a root non-orthogonal to delta."""
-    delta = weight(delta)
     subset = sorted(set(subset))
     depths = {}
     frontier = [j for j in subset if delta[j] != 0]
@@ -157,7 +155,6 @@ def admissible_depths(cartan: CartanDatum, delta, subset) -> dict:
 def admissible_subsets(cartan: CartanDatum, delta) -> list:
     """All delta-admissible subsets, by exhaustive test over 2^d candidates,
     sorted by (cardinality, indices).  The empty set is always included."""
-    delta = weight(delta)
     if all(c == 0 for c in delta):
         raise InvalidWeight("delta must be nonzero")
     out = []
@@ -201,7 +198,7 @@ def dominant_faces(cartan: CartanDatum, delta) -> list:
 
     face_weights is the slice of the weight multiset supported on the subset,
     which equals Pi_delta intersected with delta + span(subset)."""
-    delta = weight(delta)
+    delta = chars.check_weight(cartan, delta)
     ms = chars.weight_multiplicities(cartan, delta)
     faces = []
     for adm in admissible_subsets(cartan, delta):
@@ -289,7 +286,7 @@ def in_unit_box_delta(cartan: CartanDatum, delta, t) -> bool:
     if len(t) != cartan.rank or any(x < 0 or x > 1 for x in t):
         return False
     support = [i for i, x in enumerate(t) if x != 0.0]
-    return is_admissible(cartan, weight(delta), support)
+    return is_admissible(cartan, delta, support)
 
 
 def face_lattice_jsonable(faces) -> list:

@@ -1,10 +1,12 @@
 """Exact root-system, weight-lattice and Weyl-group arithmetic for simple types.
 
-Weights are tuples of Fractions in the fundamental-weight basis, so the pairing
-with the i-th simple coroot is just coordinate i.  Weyl-group elements act by
-integer matrices on these coordinates and the whole group is enumerated once
-(desk scale: rank <= 4, |W| <= 2000), which makes length, coset and orbit
-queries trivial and exactly testable.
+Weights are tuples in the fundamental-weight basis, so the pairing with the
+i-th simple coroot is just coordinate i.  Integral weights (roots, rho, the
+weights of a module, lattice points of a walk) are tuples of ints; Fractions
+are kept for rational points (path breakpoints, drifts, polytope location).
+Weyl-group elements act by integer matrices on these coordinates and the
+whole group is enumerated once (desk scale: rank <= 4, |W| <= 2000), which
+makes length, coset and orbit queries trivial and exactly testable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache, reduce
 
 from .errors import UnsupportedType
 
-#: A weight: tuple of Fractions, fundamental-weight (omega) coordinates.
+#: A weight: tuple of ints or Fractions, fundamental-weight (omega) coordinates.
 Weight = tuple
 
 WEYL_ORDER_CAP = 2000
@@ -194,7 +196,7 @@ class CartanDatum:
         # d_i = 2/(alpha_i,alpha_i) makes diag(d) . cartan symmetric
         self.symmetrizer = tuple(2 / l for l in lengths)
         # alpha_i in omega-coordinates is row i of the Cartan matrix
-        self.alpha = tuple(tuple(Fraction(x) for x in row) for row in self.cartan)
+        self.alpha = self.cartan
         at = tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank))
         self._omega_to_alpha = _invert_rational_matrix(at)
         # den * C^-1 as ints: integer root coordinates by exact division
@@ -217,14 +219,14 @@ class CartanDatum:
         )
         self._simple_reflections = tuple(
             tuple(
-                tuple((1 if k == j else 0) - (int(self.alpha[i][k]) if j == i else 0)
+                tuple((1 if k == j else 0) - (self.alpha[i][k] if j == i else 0)
                       for j in range(rank))
                 for k in range(rank)
             )
             for i in range(rank)
         )
         self.positive_roots = self._generate_positive_roots()
-        self.rho = weight([1] * rank)
+        self.rho = (1,) * rank
         half_sum = wscale(Fraction(1, 2), reduce(wadd, self.positive_roots))
         assert half_sum == self.rho
         self._enumerate_weyl_group()
@@ -292,7 +294,7 @@ class CartanDatum:
                         roots.add(img)
                         nxt.append(img)
             frontier = nxt
-        pos = [r for r in roots if all(c >= 0 for c in self.alpha_coords(r))]
+        pos = [r for r in roots if all(c >= 0 for c in self.int_alpha_coords(r))]
         assert 2 * len(pos) == len(roots)
         return tuple(sorted(pos))
 
@@ -310,7 +312,7 @@ class CartanDatum:
                 for i in range(rank):
                     # l(w s_i) > l(w)  iff  w(alpha_i) is a positive root
                     img = _mat_apply(w.matrix, self.alpha[i])
-                    if not all(c >= 0 for c in self.alpha_coords(img)):
+                    if not all(c >= 0 for c in self.int_alpha_coords(img)):
                         continue
                     mat = _mat_mul(w.matrix, self._simple_reflections[i])
                     if mat in index:
@@ -391,7 +393,7 @@ class CartanDatum:
         """Orbit of v under the parabolic subgroup W_{indices} (full W if None)."""
         if indices is None:
             indices = range(self.rank)
-        v = weight(v)
+        v = tuple(v)
         seen = {v}
         frontier = [v]
         while frontier:

@@ -389,6 +389,15 @@ def partial_p(meas, n):
     return lambda lam: meas.p(lam, n)
 
 
+@pytest.mark.parametrize("kind", ["free", "chamber"])
+def test_kernel_rows_and_delta_are_int_tuples(kind):
+    meas = central_measure(G2, weight((1, 0)), kind, (0.2, 0.1))
+    assert all(type(c) is int for c in meas.delta)
+    for lam in [(0, 0), weight((2, 1)), (Fraction(3), 0)]:
+        row = meas.kernel_row(lam)
+        assert row and all(type(c) is int for mu in row for c in mu)
+
+
 def test_chamber_marginal_masses_sum_to_one():
     from weylwalks.paths import build_growth_graph
 

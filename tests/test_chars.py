@@ -25,13 +25,16 @@ from weylwalks import (
 )
 from weylwalks.chars import (
     convolve_multisets,
+    decompose_character,
     exterior_power_weights,
     monomial,
     weyl_numerator_batch,
     wedge_sequence_values,
 )
 from weylwalks import chars
+from weylwalks.paths import crystal
 from weylwalks.polytope import admissible_subsets
+from weylwalks.rootdata import _CLASSICAL
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
@@ -65,6 +68,34 @@ def test_g2_seven_dimensional():
     assert ms.total_mass() == 7
     assert set(ms.entries.values()) == {1}
     assert len(ms.entries) == 7
+
+
+@pytest.mark.parametrize("family,rank", sorted(_CLASSICAL))
+def test_freudenthal_matches_crystal_endpoints(family, rank):
+    # independent oracle: the endpoints of the path crystal B(lambda) count the
+    # weights of V(lambda); every fundamental weight of dimension <= 300
+    cartan = build_root_system(family, rank)
+    for i in range(rank):
+        lam = tuple(int(i == j) for j in range(rank))
+        if weyl_dim(cartan, lam) > 300:
+            continue
+        counted = {}
+        for end in crystal(cartan, lam).endpoints():
+            counted[end] = counted.get(end, 0) + 1
+        ms = weight_multiplicities(cartan, weight(lam))
+        assert ms.entries == counted
+        assert all(type(c) is int for gamma in (ms.top, *ms.entries) for c in gamma)
+
+
+def test_decomposition_of_fraction_keys_gives_int_weights():
+    # a caller's Fraction weights are converted before they reach the
+    # Freudenthal cache, which every later caller shares
+    ms = {}
+    for end in crystal(A3, (0, 1, 1)).endpoints():  # Fraction tuples
+        ms[end] = ms.get(end, 0) + 1
+    for dec in (decompose_character(A3, ms), weight_multiplicities(A3, (0, 1, 1)).entries):
+        assert all(type(c) is int for nu in dec for c in nu)
+    assert decompose_character(A3, ms) == {(0, 1, 1): 1}
 
 
 def test_weyl_dim_examples():

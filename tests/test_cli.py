@@ -5,6 +5,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +164,18 @@ def test_byte_stable_output(capsys):
         assert out1 == out2
 
 
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_exact_outputs_match_golden_bytes(capsys, command):
+    # the float-free outputs, recorded when weights were still Fraction tuples:
+    # int weights must print the same bytes (str(3) == str(Fraction(3)))
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == GOLDEN[command]
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["sample", "--type", "A1", "--delta", "1", "--mode", "chamber", "--m", "0",
       "--steps", "-1", "--seed", "1"], "--steps"),
@@ -222,6 +235,9 @@ def test_domain_input_errors_exit_2(capsys, args, detail):
      "(1, 1) is not >= (2, 2) in the root order"),
     (["--mode", "free", "--lambda", "1/2,0"], "NotAWeight",
      "(1/2, 0) is not a weight at level 1"),
+    # csv prints the free kernel row without p, so kernel_row itself must refuse
+    (["--mode", "free", "--lambda", "1/2,0", "--format", "csv"], "NotAWeight",
+     "(1/2, 0) is not an integral weight"),
 ])
 def test_error_details_print_plain_weights(capsys, args, error, detail):
     code, out, _ = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
@@ -230,13 +246,12 @@ def test_error_details_print_plain_weights(capsys, args, error, detail):
     assert json.loads(out) == {"error": error, "detail": detail}
 
 
-@pytest.mark.parametrize("cap", [["--dim-cap", "1000"], []])
-def test_chamber_eval_builds_no_table_of_lambda(capsys, cap):
-    # dim V(100, 100) = 1,030,301 exceeds both caps, but chamber p and kernel
-    # rows use Weyl numerators, never a table of V(lambda)
+def test_chamber_eval_builds_no_table_of_lambda(capsys):
+    # dim V(100, 100) = 1,030,301 exceeds the default dimension cap, but chamber
+    # p and kernel rows use Weyl numerators, never a table of V(lambda)
     code, out, err = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
                              "--mode", "chamber", "--m", "0.3,0.3", "--lambda", "100,100",
-                             "--n", "100", *cap)
+                             "--n", "100")
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert 0.0 < float(doc["p"]) < 1.0 and math.isfinite(float(doc["p"]))
@@ -272,6 +287,32 @@ def test_non_integer_cap_environment_is_usage_error(capsys, monkeypatch, name):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"weylwalks: error: {name} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--type", "A1", "--delta", "1", "--mode", "free", "--m", "0",
+     "--steps", "5", "--seed", "1", "--dim-cap", "1"],
+    ["sample", "--type", "A1", "--delta", "1", "--mode", "free", "--m", "0",
+     "--steps", "5", "--seed", "1", "--level-cap", "1"],
+    ["graph", "build", "--type", "A1", "--delta", "1", "--kind", "free", "--nmax", "2",
+     "--dim-cap", "1"],
+    ["crystal", "build", "--type", "A1", "--delta", "1", "--level-cap", "1"],
+])
+def test_cap_flags_belong_to_one_subcommand_each(capsys, argv):
+    # --dim-cap is read by crystal build only, --level-cap by graph build only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_level_cap_flag_and_environment(capsys, monkeypatch):
+    argv = ["graph", "build", "--type", "A1", "--delta", "1", "--kind", "free", "--nmax", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--level-cap", "3")
+    assert code == 2
+    assert json.loads(out) == {"error": "LevelCap", "detail": "level 3 has 4 vertices > cap 3"}
+    monkeypatch.setenv("WEYLWALKS_LEVEL_CAP", "3")
+    assert run_cli(capsys, *argv)[1] == out
 
 
 def test_enum_cap_flag_is_gone(capsys):

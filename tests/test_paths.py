@@ -27,7 +27,6 @@ from weylwalks import (
 )
 from weylwalks.chars import convolve_multisets
 from weylwalks.paths import (
-    _letter_data,
     build_growth_graph,
     chamber_moves,
     crystal,
@@ -235,6 +234,17 @@ def test_chamber_edge_weights_equal_tensor_multiplicities(cartan, delta):
             assert dict(edges) == tensor_decompose(cartan, lam, delta)
 
 
+@pytest.mark.parametrize("kind", ["free", "chamber"])
+def test_growth_graph_weights_are_ints(kind):
+    # Fraction delta in, int tuples throughout: delta, levels and edges
+    g = build_growth_graph(G2, kind, weight((1, 0)), 3)
+    assert all(type(c) is int for c in g.delta)
+    for level, edges in zip(g.levels, g.edges):
+        assert all(type(c) is int for lam in level for c in lam)
+        assert all(type(c) is int for row in edges.values() for mu, _ in row for c in mu)
+        assert set(edges) == set(level)
+
+
 @pytest.mark.parametrize("cartan,delta", SUITE)
 def test_chamber_edge_dimension_identity(cartan, delta):
     g = build_growth_graph(cartan, "chamber", delta, 3)
@@ -245,13 +255,24 @@ def test_chamber_edge_dimension_identity(cartan, delta):
                 weyl_dim(cartan, lam) * z
 
 
+def fraction_floors(cartan, delta):
+    """Per crystal letter: (endpoint, componentwise breakpoint minimum), read
+    from the Fraction breakpoints of crystal(...).paths.  Letter b is
+    chamber-valid from base x iff x + floor_b >= 0 componentwise."""
+    out = []
+    for p in crystal(cartan, delta).paths:
+        bps = [pos for _, pos in p.breakpoints()]
+        out.append((p.endpoint(), tuple(min(pos[k] for pos in bps)
+                                        for k in range(cartan.rank))))
+    return out
+
+
 @pytest.mark.parametrize("cartan,delta", SUITE)
 def test_chamber_moves_match_fraction_floors(cartan, delta):
     # the integer thresholds decide validity as the Fraction floors do
-    ends, floors = _letter_data(cartan, delta)
     for lam in product(range(4), repeat=cartan.rank):
         expected = {}
-        for b, (end, floor) in enumerate(zip(ends, floors)):
+        for b, (end, floor) in enumerate(fraction_floors(cartan, delta)):
             if all(x + f >= 0 for x, f in zip(lam, floor)):
                 expected.setdefault(wadd(weight(lam), end), []).append(b)
         moves = chamber_moves(cartan, delta, lam)
