@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -282,28 +284,51 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
 # -- central measures --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _two_step_offsets(cartan, delta):
+    """The steps of at most two letters of B(delta): 0, E and E + E, E the endpoints."""
+    ends = set(paths._letter_table(cartan, delta)[0]) | {(0,) * cartan.rank}
+    return tuple(sorted({wadd(a, b) for a in ends for b in ends}))
+
+
 class ChamberKernel:
-    """The chamber law at one t in [0,1]^d: cached step tables and numerators.
+    """The chamber law at one t in [0,1]^d: cached rows, moves and numerators.
 
     Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam}) with
-    S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels and a
-    row costs one batch of |W/W_I| terms per weight whatever dim V(lam).
+    S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels.  Rows and
+    p read one numerator cache; a miss at lam fills every uncached dominant
+    weight within two letter steps of lam in one batch, so the first row out of
+    any target of lam makes no call.  Letter validity depends on lam only
+    through min(lam, cap), cap the largest thresholds (paths._letter_table), so
+    each clipped weight caches its moves (paths.chamber_moves): target offsets,
+    coefficients len(bs) t^(delta - e_b) and letter lists.
     """
 
     def __init__(self, point: BoundaryPoint):
         self.point = point
+        cartan, delta = point.cartan, point.delta
         # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
-        exps = chars._free_exponents(point.cartan, point.delta, point.cartan.identity)
-        ends, _ = paths._letter_table(point.cartan, point.delta)
+        exps = chars._free_exponents(cartan, delta, cartan.identity)
+        ends, thresholds = paths._letter_table(cartan, delta)
         self.letter_monomials = [chars.monomial(point.t, exps[end]) for end in ends]
+        self.cap = tuple(map(max, zip(*thresholds)))
+        self.offsets = _two_step_offsets(cartan, delta)
         self.tables = {}
         self.numerators = {}
+        self.patterns = {}
+
+    def _fill(self, lam):
+        """One batch for the uncached dominant weights within two steps of lam."""
+        nums = self.numerators
+        new = [nu for off in self.offsets
+               if (nu := tuple(map(operator.add, lam, off))) not in nums and min(nu) >= 0]
+        nums.update(zip(new, chars.weyl_numerator_batch(
+            self.point.cartan, new, self.point.t).tolist()))
 
     def numerator(self, lam) -> float:
-        """N_lam(t) for the int weight lam, cached for p(lam, n)."""
+        """N_lam(t) for the int weight lam, from the shared cache."""
         if lam not in self.numerators:
-            self.numerators[lam] = float(
-                chars.weyl_numerator_batch(self.point.cartan, [lam], self.point.t)[0])
+            self._fill(lam)
         return self.numerators[lam]
 
     def table(self, lam):
@@ -318,19 +343,29 @@ class ChamberKernel:
         if cached is not None:
             return cached
         pt = self.point
-        moves = sorted(paths.chamber_moves(pt.cartan, pt.delta, lam).items())
-        nums = chars.weyl_numerator_batch(pt.cartan, [lam] + [mu for mu, _ in moves], pt.t)
-        probs = np.array([len(bs) * self.letter_monomials[bs[0]] for _, bs in moves])
-        probs *= nums[1:]
-        probs /= pt.s_delta * nums[0]
-        total = probs.sum()
+        clipped = tuple(map(min, lam, self.cap))
+        pattern = self.patterns.get(clipped)
+        if pattern is None:
+            moves = sorted(paths.chamber_moves(pt.cartan, pt.delta, clipped).items())
+            pattern = self.patterns[clipped] = (
+                [wsub(mu, clipped) for mu, _ in moves],
+                [len(bs) * self.letter_monomials[bs[0]] for _, bs in moves],
+                [bs for _, bs in moves])
+        offsets, coefs, letters = pattern
+        mus = [tuple(map(operator.add, lam, off)) for off in offsets]
+        nums = self.numerators
+        if lam not in nums or not all(map(nums.__contains__, mus)):
+            self._fill(lam)
+        # tests/chamber_walk_golden.json pins these float operations (numpy's pairwise sum)
+        scale = pt.s_delta * nums[lam]
+        probs = [c * nums[mu] / scale for c, mu in zip(coefs, mus)]
+        total = float(np.add.reduce(probs))
         assert abs(total - 1.0) < chars.ROW_TOL, f"kernel row sums to {total}"
-        probs /= total
-        if not np.all(probs >= 0):
+        probs = [q / total for q in probs]
+        if not all(q >= 0 for q in probs):
             raise ValueError("probabilities are not non-negative")
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        out = ([mu for mu, _ in moves], probs, cdf.tolist(), [bs for _, bs in moves])
+        cdf = list(itertools.accumulate(probs))
+        out = (mus, probs, [c / cdf[-1] for c in cdf], letters)
         self.tables[lam] = out
         return out
 
@@ -373,7 +408,7 @@ class CentralMeasure:
         (InvalidWeight)."""
         if self.kind == "chamber":
             mus, probs, _, _ = self.chamber_kernel.table(chars.check_weight(self.cartan, lam))
-            return {mu: q for mu, q in zip(mus, probs.tolist()) if q}
+            return {mu: q for mu, q in zip(mus, probs) if q}
         start = int_weight(lam)
         if start is None:
             raise NotAWeight(f"{format_weight(lam)} is not an integral weight")

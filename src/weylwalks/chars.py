@@ -364,20 +364,23 @@ ROW_TOL = 1e-12  # a chamber kernel row sums to 1 within this bound
 @lru_cache(maxsize=None)
 def _coset_pack(cartan, ones):
     """The minimal coset representatives u of W_I\\W, I = ones, in enumeration
-    order (all of W for I = ()), their float matrices and dets, the coroots of
-    Phi_I^+ as int rows (<v, alpha^vee> = row . v), omega->alpha and the guard."""
+    order (all of W for I = ()), int tables (for weights x, x @ images holds every
+    u(x) and x @ lifts every x - u(x) in root coordinates), dets, int coroots of
+    Phi_I^+ (<v, alpha^vee> = row . v) and the guard."""
     reps = tuple(dict.fromkeys(minimal_coset_rep(cartan, w, ones)
                                for w in cartan.elements))
-    mats = np.array([[[float(x) for x in row] for row in u.matrix] for u in reps])
-    dets = np.array([float(cartan.det(u)) for u in reps])
     units = [tuple(int(i == j) for j in range(cartan.rank)) for i in range(cartan.rank)]
+    images = np.array([[cartan.apply(u, e) for u in reps] for e in units], dtype=np.int64)
+    lifts = np.array([[cartan.int_alpha_coords(wsub(e, cartan.apply(u, e))) for u in reps]
+                      for e in units], dtype=np.int64)
+    dets = np.array([float(cartan.det(u)) for u in reps])
     coroots = tuple(
         tuple(int(2 * cartan.pairing(e, a) / cartan.pairing(a, a)) for e in units)
         for a in cartan.positive_roots
         if all(c == 0 for k, c in enumerate(cartan.alpha_coords(a)) if k not in ones))
-    to_alpha = np.array([[float(c) for c in row] for row in cartan._omega_to_alpha])
-    guard = np.abs(dets) * (len(reps) * 2.0**-53 / (ROW_TOL / 4))
-    return reps, mats, dets, coroots, to_alpha, guard
+    guard = len(reps) * 2.0**-53 / (ROW_TOL / 4)
+    return (reps, images.reshape(cartan.rank, -1), lifts.reshape(cartan.rank, -1),
+            dets, coroots, guard)
 
 
 def _exact_numerator(cartan, reps, coroots, lam, t) -> float:
@@ -411,18 +414,20 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t) -> np.ndarray:
     t = [float(x) for x in t]
     ones = tuple(i for i, x in enumerate(t) if x == 1.0)
     zeros = [i for i, x in enumerate(t) if x == 0.0]
-    reps, mats, dets, coroots, to_alpha, guard = _coset_pack(cartan, ones)
-    x = np.array([[float(c) for c in lam] for lam in lams]) + 1.0  # lam + rho
-    images = np.einsum("wij,mj->mwi", mats, x)
-    exps = (x[:, None, :] - images) @ to_alpha.T
-    terms = np.exp(exps @ np.log([ti if ti else 1.0 for ti in t]))
+    reps, images, lifts, dets, coroots, guard = _coset_pack(cartan, ones)
+    x = np.fromiter(itertools.chain.from_iterable(lams), np.int64).reshape(-1, cartan.rank)
+    x += 1  # lam + rho
+    exps = (x @ lifts).reshape(len(lams), len(reps), cartan.rank)
+    # row-wise reductions, not matmuls: a weight's value does not depend on its batch
+    terms = np.exp((exps * np.log([ti if ti else 1.0 for ti in t])).sum(axis=2))
     if zeros:
-        terms[(exps[:, :, zeros] > 0.5).any(axis=2)] = 0.0
+        terms[(exps[:, :, zeros] > 0).any(axis=2)] = 0.0
     if ones:
-        terms *= np.prod(images @ np.array(coroots, dtype=float).T, axis=2)
-    nums = terms @ dets
-    # terms are >= 0 before det(u): (terms @ guard) / nums is the bound over ROW_TOL / 4
-    for k, kept in enumerate((nums >= terms @ guard).tolist()):
+        pairings = (x @ images).reshape(len(lams), len(reps), cartan.rank) @ np.array(coroots).T
+        terms *= np.prod(pairings.astype(float), axis=2)
+    nums = (terms * dets).sum(axis=1)
+    # terms are >= 0 before det(u) = +-1: guard sum(terms) / nums is the bound over ROW_TOL / 4
+    for k, kept in enumerate((nums >= guard * terms.sum(axis=1)).tolist()):
         if not kept:
             nums[k] = _exact_numerator(cartan, reps, coroots, lams[k], t)
     return nums

@@ -7,9 +7,9 @@ streams are independent and the whole report is reproducible from
 (configuration, seed).  The chamber sampler walks on int weights and draws
 each move by inverse CDF, bisect_right(cdf, rng.random()) over the CDF of
 the measure's boundary.ChamberKernel table, whose probabilities kernel_row
-returns, as Generator.choice(n, p=row) does.  Rows hold on all of [0,1]^d:
-interior t keeps its streams, t with some t_i = 1 follows the documented
-law itself, and faces (t_i = 0) and t near 1 are supported.
+returns, as Generator.choice(n, p=row) does; a row has the same bits whatever
+rows or p values the measure built before it.  Rows hold on all of [0,1]^d,
+faces (t_i = 0), t_i = 1 and t near 1 included.
 """
 
 from __future__ import annotations

@@ -374,6 +374,24 @@ def test_weyl_numerator_ratio_matches_direct_character():
                                                        rel=1e-12)
 
 
+def test_weyl_numerator_does_not_depend_on_its_batch():
+    # every entry of a batch has the bits of its singleton call, so one cache can
+    # hold numerators from batches of any shape
+    rng = np.random.default_rng(41)
+    for cartan, delta in [(A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0)), (A3, (1, 0, 0)),
+                          (C3, (1, 0, 0))]:
+        lams = [tuple(int(c) for c in rng.integers(0, 6, cartan.rank)) for _ in range(25)]
+        for t in box_patterns(cartan, delta, rng):  # interior, face and t_i = 1
+            batch = weyl_numerator_batch(cartan, lams, t).tolist()
+            for lam, num in zip(lams, batch):
+                assert num == weyl_numerator_batch(cartan, [lam], t)[0], (t, lam)
+
+
+def test_weyl_numerator_empty_batch():
+    for t in [(0.3, 0.4), (1.0, 0.4), (0.3, 0.0)]:
+        assert weyl_numerator_batch(A2, [], t).shape == (0,)
+
+
 def test_weyl_numerator_float_sum_is_exact_on_faces(monkeypatch):
     # at moderate t the float sum alone is right on faces and at t_i = 1: no
     # weight needs the exact re-summation
