@@ -31,15 +31,6 @@ ROUND_TRIP_TOL = 1e-8
 CLAMP_TO_ONE = 1e-9
 
 
-@lru_cache(maxsize=None)
-def _delta_tables(cartan, delta):
-    """Per-(cartan, delta) arrays: weights, multiplicities, exponents of delta-gamma."""
-    gammas = sorted(chars.weight_multiplicities(cartan, delta).entries)
-    exps, mults = chars._module_table(cartan, delta)
-    coords = np.array([[float(c) for c in g] for g in gammas])
-    return gammas, mults, coords, exps.astype(float)
-
-
 def stabilizer_set(cartan: CartanDatum, delta, t) -> tuple:
     """Indices i with <w(drift), alpha_i^vee> = 0, computed exactly from t.
 
@@ -47,14 +38,11 @@ def stabilizer_set(cartan: CartanDatum, delta, t) -> tuple:
     by the support of t; the extra walls occur only when delta is orthogonal
     to some simple root.
     """
-    delta = chars.check_weight(cartan, delta)
+    delta = chars.check_weight(cartan, delta, chars.DEFAULT_DIM_CAP)
     t = tuple(float(x) for x in t)
-    support = {i for i, x in enumerate(t) if x != 0.0}
+    support = tuple(i for i, x in enumerate(t) if x != 0.0)
     ones = {i for i, x in enumerate(t) if x == 1.0}
-    face_weights = [
-        g for g, e in chars._free_exponents(cartan, delta, cartan.identity).items()
-        if all(c == 0 for k, c in enumerate(e) if k not in support)
-    ]
+    face_weights, _, _ = polytope.face_rows(cartan, delta, support)
     extra = {
         i for i in range(cartan.rank)
         if i not in support and all(g[i] <= 0 for g in face_weights)
@@ -67,12 +55,14 @@ class BoundaryPoint:
 
     t lies in the restricted box (support is delta-admissible) and w is the
     minimal right-coset representative modulo the stabilizer of the drift's
-    dominant representative; delta is an int tuple and drift is computed lazily.
+    dominant representative; delta is an int tuple (DimensionCap above the
+    default cap).  The free step law's monomials, and from them the drift, are
+    computed lazily, once per point.
     """
 
     def __init__(self, cartan: CartanDatum, delta, t, w: WeylElement):
         self.cartan = cartan
-        self.delta = chars.check_weight(cartan, delta)
+        self.delta = chars.check_weight(cartan, delta, chars.DEFAULT_DIM_CAP)
         self.t = tuple(float(x) for x in t)
         self.w = w
         if not polytope.in_unit_box_delta(cartan, self.delta, self.t):
@@ -89,14 +79,19 @@ class BoundaryPoint:
         return chars.evaluate_S(self.cartan, self.delta, self.delta, self.t)
 
     @cached_property
+    def monomials(self) -> dict:
+        """{gamma: t^(delta - w gamma)} over the weights of V(delta) in table
+        order: S_delta(t) psi(t,w)(e^gamma, 1), the free step law's monomials."""
+        cartan, delta = self.cartan, self.delta
+        return {g: chars.monomial(self.t, chars.free_exponent(cartan, delta, self.w, 1, g))
+                for g in chars._module_table(cartan, delta)[0]}
+
+    @cached_property
     def drift(self) -> tuple:
         """Expected increment of the free walk: (1/S_delta) sum K t^(delta - w gamma) gamma."""
-        cartan = self.cartan
-        _, mults, coords, _ = _delta_tables(cartan, self.delta)
-        exps = chars._free_exponents(cartan, self.delta, self.w).values()
-        acc = np.zeros(cartan.rank)
-        for m, g, e in zip(mults, coords, exps):
-            mono = chars.monomial(self.t, e)
+        weights, _, mults = chars._module_table(self.cartan, self.delta)
+        acc = np.zeros(self.cartan.rank)
+        for m, g, mono in zip(mults, np.array(weights, dtype=float), self.monomials.values()):
             if mono:
                 acc += m * mono * g
         return tuple(float(x) for x in acc / self.s_delta)
@@ -187,8 +182,7 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
 # -- drift inversion -------------------------------------------------------------
 
 
-def _face_newton(cartan, delta, support, target, grad_tol=NEWTON_GRAD_TOL,
-                 max_iter=NEWTON_MAX_ITER):
+def _face_newton(cartan, delta, support, target):
     """Solve grad log S_delta(e^u) = target on the face cut out by `support`.
 
     The objective f(u) = log sum_gamma K e^(E u) - target . u is strictly
@@ -197,12 +191,10 @@ def _face_newton(cartan, delta, support, target, grad_tol=NEWTON_GRAD_TOL,
     """
     if not support:
         return {}
-    gammas, mults, _, exps_full = _delta_tables(cartan, delta)
-    rows = [k for k, g in enumerate(gammas)
-            if all(exps_full[k][j] == 0 for j in range(cartan.rank)
-                   if j not in support)]
-    e_mat = np.array([[exps_full[k][j] for j in support] for k in rows])
-    logm = np.log(np.array([mults[k] for k in rows]))
+    _, exps, mults = polytope.face_rows(cartan, delta, support)
+    # C order: the column pick alone gives an F-ordered matrix, and BLAS sums it in another order
+    e_mat = exps[:, list(support)].astype(float, order="C")
+    logm = np.log(mults)
     g_target = np.array([float(target[j]) for j in support])
     if np.any(g_target <= 0):
         raise NoConvergence(
@@ -224,8 +216,8 @@ def _face_newton(cartan, delta, support, target, grad_tol=NEWTON_GRAD_TOL,
 
     u = np.zeros(len(support))
     val, grad, hess = value_grad_hess(u)
-    for iteration in range(max_iter):
-        if np.max(np.abs(grad)) < grad_tol:
+    for iteration in range(NEWTON_MAX_ITER):
+        if np.max(np.abs(grad)) < NEWTON_GRAD_TOL:
             return dict(zip(support, u))
         try:
             step = np.linalg.solve(hess, -grad)
@@ -248,7 +240,7 @@ def _face_newton(cartan, delta, support, target, grad_tol=NEWTON_GRAD_TOL,
         u, val, grad, hess = cand, cval, cgrad, chess
     raise NoConvergence(
         "Newton failed to reach gradient tolerance",
-        {"residual": float(np.max(np.abs(grad))), "iterations": max_iter,
+        {"residual": float(np.max(np.abs(grad))), "iterations": NEWTON_MAX_ITER,
          "support": list(support)},
     )
 
@@ -259,7 +251,7 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
     Procedure: exact face location of m, t_i = 0 off the face, damped Newton
     in log coordinates on the face (gradient tolerance 1e-12), clamp t_i to 1
     within 1e-9, re-canonicalize w.  Round trips close within 1e-8."""
-    delta = chars.check_weight(cartan, delta)
+    delta = chars.check_weight(cartan, delta, chars.DEFAULT_DIM_CAP)
     loc = polytope.locate(cartan, delta, m, strict=True)
     support = loc.face.indices
     target = cartan.alpha_coords(wsub(delta, loc.y))
@@ -292,7 +284,9 @@ def _two_step_offsets(cartan, delta):
 
 
 class ChamberKernel:
-    """The chamber law at one t in [0,1]^d: cached rows, moves and numerators.
+    """The chamber law at a chamber point (w = identity, t in [0,1]^d): cached
+    rows, moves and numerators; the letter weights t^(delta - e_b) are the
+    point's free monomials (BoundaryPoint.monomials).
 
     Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam}) with
     S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels.  Rows and
@@ -308,9 +302,8 @@ class ChamberKernel:
         self.point = point
         cartan, delta = point.cartan, point.delta
         # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
-        exps = chars._free_exponents(cartan, delta, cartan.identity)
         ends, thresholds = paths._letter_table(cartan, delta)
-        self.letter_monomials = [chars.monomial(point.t, exps[end]) for end in ends]
+        self.letter_monomials = [point.monomials[end] for end in ends]
         self.cap = tuple(map(max, zip(*thresholds)))
         self.offsets = _two_step_offsets(cartan, delta)
         self.tables = {}
@@ -412,11 +405,12 @@ class CentralMeasure:
         start = int_weight(lam)
         if start is None:
             raise NotAWeight(f"{format_weight(lam)} is not an integral weight")
-        gammas, mults, _, _ = _delta_tables(self.cartan, self.delta)
-        exps = chars._free_exponents(self.cartan, self.delta, self.point.w).values()
+        _, _, mults = chars._module_table(self.cartan, self.delta)
+        s_delta = self.point.s_delta
         # the weights gamma of V(delta) are distinct, and so are the targets
-        return {wadd(start, g): q for g, k, e in zip(gammas, mults.tolist(), exps)
-                if (q := k * chars.monomial(self.point.t, e) / self.point.s_delta)}
+        monomials = self.point.monomials.items()
+        return {wadd(start, g): q for k, (g, mono) in zip(mults.tolist(), monomials)
+                if (q := k * mono / s_delta)}
 
     def to_jsonable(self) -> dict:
         return dict(self.point.to_jsonable(), rank=self.cartan.rank, kind=self.kind)
@@ -533,7 +527,7 @@ def harmonic_function_check(cartan: CartanDatum, delta, t, n_max: int = 4) -> fl
     max over dominant vertices lam at levels <= n_max of
     |s_lam(t) - (1/(cZ)) sum_mu e(lam, mu) s_mu(t)|; t must lie in (0, 1]^d."""
     t = tuple(float(x) for x in t)
-    if any(x <= 0 or x > 1 for x in t):
+    if not all(0 < x <= 1 for x in t):
         raise ValueError("t must lie in the half-open box (0, 1]^d")
 
     cz = s_hat_t(cartan, delta, t)  # c Z = s_delta(t)

@@ -143,13 +143,16 @@ def _dominant(cartan, v):
 
 @lru_cache(maxsize=None)
 def _module_table(cartan, lam):
-    """(exponents, multiplicities) of V(lambda), lambda an int tuple: one row per
-    weight gamma in sorted order, exponents alpha(lambda - gamma) as ints.
-    S_{lambda,mu} adds alpha(mu - lambda) to every row."""
+    """The one table of V(lambda), lambda an int tuple: (weights, exponents,
+    multiplicities), one row per weight gamma in sorted order, gamma an int
+    tuple, its exponent alpha(lambda - gamma) an int row and its multiplicity a
+    float.  S_{lambda,mu} adds alpha(mu - lambda) to every exponent row.  No
+    dimension-cap check: callers pass lambda through check_weight with the cap."""
     rows = sorted(_weight_multiplicities(cartan, lam).entries.items())
-    exps = [cartan.int_alpha_coords(wsub(lam, gamma)) for gamma, _ in rows]
+    weights = tuple(gamma for gamma, _ in rows)
+    exps = [cartan.int_alpha_coords(wsub(lam, gamma)) for gamma in weights]
     assert all(k is not None and min(k) >= 0 for k in exps)
-    return np.array(exps, dtype=np.int64), np.array([m for _, m in rows], dtype=float)
+    return weights, np.array(exps, dtype=np.int64), np.array([m for _, m in rows], dtype=float)
 
 
 def monomial(t, exponents) -> float:
@@ -183,7 +186,7 @@ def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
     """
     top = check_weight(cartan, lam, DEFAULT_DIM_CAP)
     shift = order_exponent(cartan, top, mu)
-    exps, mults = _module_table(cartan, top)
+    _, exps, mults = _module_table(cartan, top)
     tv = np.asarray([float(x) for x in t], dtype=float)
     return float(np.dot(mults, np.prod(tv ** (exps + shift), axis=1)))
 
@@ -193,14 +196,6 @@ def free_exponent(cartan: CartanDatum, delta, w: WeylElement, n: int, gamma):
     for int tuples delta and gamma; None when it is off the root lattice."""
     wg = cartan.apply(w, gamma)
     return cartan.int_alpha_coords(tuple(n * d - x for d, x in zip(delta, wg)))
-
-
-@lru_cache(maxsize=None)
-def _free_exponents(cartan, delta, w):
-    """{gamma: alpha(delta - w gamma)} over the weights gamma of V(delta) as
-    int tuples, in sorted order: the free walk's one-step exponents."""
-    gammas = sorted(weight_multiplicities(cartan, delta).entries)
-    return {gamma: free_exponent(cartan, delta, w, 1, gamma) for gamma in gammas}
 
 
 # -- decomposition into irreducibles -----------------------------------------

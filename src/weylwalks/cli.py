@@ -155,6 +155,11 @@ def parse(argv) -> RunConfig:
             unknown = [c for c in criteria if not 1 <= c <= 10]
             if unknown:
                 build_parser().error(f"unknown criteria {unknown}")
+        if ns.type_filter is not None:
+            suite_types = list(dict.fromkeys(tok for tok, _, _ in acceptance.suite_deltas()))
+            if ns.type_filter not in suite_types:
+                build_parser().error(f"--type must be a suite type {suite_types}, "
+                                     f"got {ns.type_filter!r}")
         return RunConfig(command="verify",
                          params={"criteria": criteria, "types": ns.type_filter})
     for key in ("steps", "nmax", "n"):

@@ -76,9 +76,8 @@ class SimReport:
 def _free_letter_probs(measure):
     """Probability of each crystal letter under the free measure."""
     point = measure.point
-    exps = chars._free_exponents(measure.cartan, measure.delta, point.w)
     ends, _ = paths._letter_table(measure.cartan, measure.delta)
-    arr = np.array([chars.monomial(point.t, exps[end]) / point.s_delta for end in ends])
+    arr = np.array([point.monomials[end] / point.s_delta for end in ends])
     assert abs(arr.sum() - 1.0) < 1e-9
     return arr / arr.sum()
 

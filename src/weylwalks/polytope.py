@@ -193,23 +193,27 @@ def _affine_rank(points) -> int:
     return rank
 
 
+@lru_cache(maxsize=None)
+def face_rows(cartan: CartanDatum, delta, support) -> tuple:
+    """The face rule: the rows (weights, exponents, multiplicities) of the
+    table of V(delta) (chars._module_table) whose exponent alpha(delta - gamma)
+    is zero off `support`, an index tuple; their weights are Pi_delta
+    intersected with delta + span(support).  delta is a checked int tuple."""
+    weights, exps, mults = chars._module_table(cartan, delta)
+    on = ~exps[:, [k for k in range(cartan.rank) if k not in support]].any(axis=1)
+    return tuple(g for g, keep in zip(weights, on.tolist()) if keep), exps[on], mults[on]
+
+
 def dominant_faces(cartan: CartanDatum, delta) -> list:
     """One dominant face per admissible subset: F = Conv(W_subset . delta).
 
-    face_weights is the slice of the weight multiset supported on the subset,
-    which equals Pi_delta intersected with delta + span(subset)."""
-    delta = chars.check_weight(cartan, delta)
-    ms = chars.weight_multiplicities(cartan, delta)
+    face_weights are the weights of the face's rows of the table of V(delta)
+    (face_rows).  Raises DimensionCap when dim V(delta) exceeds the default cap."""
+    delta = chars.check_weight(cartan, delta, chars.DEFAULT_DIM_CAP)
     faces = []
     for adm in admissible_subsets(cartan, delta):
-        vertices = cartan.orbit(delta, adm.indices)
-        span = set(adm.indices)
-        fw = []
-        for gamma in sorted(ms.entries):
-            coords = cartan.alpha_coords(wsub(delta, gamma))
-            if all(c == 0 for k, c in enumerate(coords) if k not in span):
-                fw.append(gamma)
-        face = DominantFace(admissible=adm, vertices=vertices, face_weights=tuple(fw))
+        face = DominantFace(admissible=adm, vertices=cartan.orbit(delta, adm.indices),
+                            face_weights=face_rows(cartan, delta, adm.indices)[0])
         assert face.dim() == len(adm.indices)
         faces.append(face)
     return faces
@@ -283,7 +287,7 @@ def locate(cartan: CartanDatum, delta, m, strict: bool = True) -> LocateResult:
 def in_unit_box_delta(cartan: CartanDatum, delta, t) -> bool:
     """Whether t in [0,1]^d has delta-admissible support (exact zero test)."""
     t = tuple(float(x) for x in t)
-    if len(t) != cartan.rank or any(x < 0 or x > 1 for x in t):
+    if len(t) != cartan.rank or not all(0 <= x <= 1 for x in t):
         return False
     support = [i for i, x in enumerate(t) if x != 0.0]
     return is_admissible(cartan, delta, support)

@@ -364,9 +364,6 @@ class CartanDatum:
     def inverse(self, w: WeylElement) -> WeylElement:
         return self.elements[self._inverse_index[self._index[w.matrix]]]
 
-    def length(self, w: WeylElement) -> int:
-        return w.length
-
     def det(self, w: WeylElement) -> int:
         return -1 if w.length % 2 else 1
 

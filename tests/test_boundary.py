@@ -3,12 +3,14 @@
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from weylwalks import (
+    DimensionCap,
     InvalidWeight,
     NoConvergence,
     NotAWeight,
@@ -19,6 +21,7 @@ from weylwalks import (
     build_root_system,
     c_harmonic_level,
     central_measure,
+    dominant_faces,
     harmonic_function_check,
     harmonicity_residual,
     invert_drift,
@@ -300,11 +303,13 @@ def test_newton_gradient_matches_finite_differences():
 
 
 def test_log_partition_hessian_psd():
-    from weylwalks.boundary import _delta_tables
+    from weylwalks.chars import _module_table
+    from weylwalks.rootdata import int_weight
 
     rng = np.random.default_rng(8)
     for cartan, delta in [(A2, weight((1, 0))), (G2, G2_SEVEN)]:
-        _, mults, _, exps = _delta_tables(cartan, delta)
+        _, exps, mults = _module_table(cartan, int_weight(delta))
+        exps = exps.astype(float)
         for _ in range(10):
             u = -3.0 * rng.random(cartan.rank)
             z = exps @ u + np.log(mults)
@@ -527,6 +532,9 @@ def test_harmonic_function_check_examples():
     assert harmonic_function_check(A1, (1,), (1.0,)) < 1e-12
     assert harmonic_function_check(A1, (1,), (0.5,)) < 1e-12
     assert harmonic_function_check(A2, (1, 0), (0.9, 0.4)) < 1e-12
+    for t in [(math.nan, 0.5), (0.5, math.nan), (0.5, 1.5)]:
+        with pytest.raises(ValueError, match="half-open box"):
+            harmonic_function_check(A2, (1, 0), t)
     with pytest.raises(ValueError):
         harmonic_function_check(A1, (1,), (0.0,))
 
@@ -537,11 +545,28 @@ def test_harmonic_function_check_examples():
 def test_boundary_point_validation():
     with pytest.raises(ValueError):
         boundary_point(A2, (1, 0), (0.0, 0.5))  # support not admissible
+    for t in [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (-1e-300, 0.5)]:
+        with pytest.raises(ValueError, match="restricted box"):
+            boundary_point(A2, (1, 0), t)
     s2 = A2.simple_reflection(1)
     with pytest.raises(ValueError):
         boundary_point(A2, (1, 0), (0.0, 0.0), s2)  # s2 stabilizes the face
     pt = boundary_point(A2, (1, 0), (0.0, 0.0), s2, canonicalize=True)
     assert pt.w == A2.identity
+
+
+@pytest.mark.parametrize("call", [
+    lambda delta: boundary_point(A2, delta, (0.5, 0.5)),
+    lambda delta: stabilizer_set(A2, delta, (0.5, 0.0)),
+    lambda delta: invert_drift(A2, delta, (0, 0)),
+    lambda delta: dominant_faces(A2, delta),
+], ids=["boundary_point", "stabilizer_set", "invert_drift", "dominant_faces"])
+def test_entry_points_refuse_delta_over_dimension_cap(call):
+    # each reads the table of V(delta), which is never built over the cap
+    start = time.perf_counter()
+    with pytest.raises(DimensionCap):
+        call((200, 200))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_measure_json_and_kernel_csv():

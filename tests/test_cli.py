@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -150,6 +151,31 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         parse(["verify", "--suite", "11"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("token", ["Z9", "A3", "a1", ""])
+def test_verify_rejects_types_outside_the_suite(capsys, token):
+    # a type the suite does not run would check nothing and pass
+    with pytest.raises(SystemExit) as exc:
+        parse(["verify", "--suite", "1", "--type", token])
+    assert exc.value.code == 2
+    assert "A1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["polytope", "faces", "--type", "A2", "--delta", "200,200"],
+    ["drift", "invert", "--type", "A2", "--delta", "200,200", "--m", "0,0"],
+    ["measure", "eval", "--type", "A2", "--delta", "200,200", "--mode", "free", "--m", "0,0"],
+    ["sample", "--type", "A2", "--delta", "200,200", "--mode", "free", "--m", "0,0",
+     "--steps", "5", "--seed", "1"],
+])
+def test_commands_refuse_delta_over_dimension_cap(capsys, argv):
+    # dim V(200,200) = 8,120,601 is over the default cap: no table of V(delta) is built
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"] == "DimensionCap"
 
 
 def test_byte_stable_output(capsys):

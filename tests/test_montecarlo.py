@@ -17,6 +17,7 @@ from weylwalks import (
     lln_check,
     harmonic_function_check,
     harmonicity_residual,
+    invert_drift,
     pitman_equality_in_law,
     random_boundary_point,
     sample_trajectory,
@@ -159,7 +160,6 @@ def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
                         for i in range(cartan.rank)))
         ts.append((1.0,) + (near,) * (cartan.rank - 1))
         ts.append((near,) + (0.5,) * (cartan.rank - 1))
-    exps = chars._free_exponents(cartan, delta, cartan.identity)
     lams = [lam for level in build_growth_graph(cartan, "chamber", delta, 4).levels
             for lam in level]
     lams.append(tuple(7 * c + 3 for c in delta))
@@ -169,7 +169,8 @@ def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
             lam = int_weight(lam)
             moves = sorted(chamber_moves(cartan, delta, lam).items())
             nums = chars.weyl_numerator_batch(cartan, [lam] + [mu for mu, _ in moves], t)
-            total = sum(len(bs) * monomial(t, exps[wsub(mu, lam)]) * num
+            total = sum(len(bs) * monomial(t, chars.free_exponent(
+                            cartan, delta, cartan.identity, 1, wsub(mu, lam))) * num
                         for (mu, bs), num in zip(moves, nums[1:]))
             assert abs(total / (kernel.point.s_delta * nums[0]) - 1.0) < 1e-12, (t, lam)
             kernel.table(lam)  # asserts the same bound on its own row
@@ -237,6 +238,38 @@ def test_chamber_walks_match_golden_letters(record):
     meas = chamber_measure(cartan, tuple(record["delta"]), tuple(record["t"]))
     traj = sample_trajectory(meas, 100, seed=record["seed"])
     assert list(traj.letters) == record["letters"]
+
+
+def free_law_record(cartan, delta, t, word, seed):
+    """The free law's floats as reprs: drift, s_delta, the t that inverts the
+    drift, kernel rows out of 0 and one other weight, letter probabilities and a
+    100-step walk's letters."""
+    point = boundary_point(cartan, delta, t, cartan.element_of_word(word))
+    meas = CentralMeasure("free", point)
+    other = (1, -1) + (0,) * (cartan.rank - 2)
+    return {
+        "drift": [repr(x) for x in point.drift],
+        "s_delta": repr(point.s_delta),
+        "inverse_t": [repr(x) for x in invert_drift(cartan, delta, point.drift).t],
+        "kernel_rows": [[[list(mu), repr(q)] for mu, q in sorted(meas.kernel_row(lam).items())]
+                        for lam in [(0,) * cartan.rank, other]],
+        "letter_probs": [repr(float(q)) for q in _free_letter_probs(meas)],
+        "letters": list(sample_trajectory(meas, 100, seed=seed).letters),
+    }
+
+
+FREE_GOLDEN = json.loads((Path(__file__).parent / "free_law_golden.json").read_text())
+
+
+@pytest.mark.parametrize("record", FREE_GOLDEN,
+                         ids=lambda r: f"{r['type']}-{','.join(map(str, r['t']))}")
+def test_free_law_matches_golden_bits(record):
+    # the free step law's bits, pinned at an interior point with w != identity, a
+    # t_i = 1 point and a face point per type
+    cartan = build_root_system(record["type"][0], int(record["type"][1:]))
+    got = free_law_record(cartan, tuple(record["delta"]), tuple(record["t"]),
+                          tuple(record["w_word"]), record["seed"])
+    assert got == {key: record[key] for key in got}
 
 
 def reference_chamber_walk(measure, steps, seed):

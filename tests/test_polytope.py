@@ -5,6 +5,7 @@ characterization of hull membership and against an exact monotone-chain hull on
 rank-2 cases.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -274,3 +275,5 @@ def test_unit_box_examples():
     assert not in_unit_box_delta(A2, (1, 0), (0.0, 0.5))
     assert in_unit_box_delta(A2, (1, 0), (0.0, 0.0))
     assert not in_unit_box_delta(A2, (1, 0), (1.5, 0.5))
+    assert not in_unit_box_delta(A2, (1, 0), (math.nan, 0.5))
+    assert not in_unit_box_delta(A2, (1, 1), (0.5, math.nan))
