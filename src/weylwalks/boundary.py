@@ -81,10 +81,12 @@ class BoundaryPoint:
     @cached_property
     def monomials(self) -> dict:
         """{gamma: t^(delta - w gamma)} over the weights of V(delta) in table
-        order: S_delta(t) psi(t,w)(e^gamma, 1), the free step law's monomials."""
-        cartan, delta = self.cartan, self.delta
-        return {g: chars.monomial(self.t, chars.free_exponent(cartan, delta, self.w, 1, g))
-                for g in chars._module_table(cartan, delta)[0]}
+        order: S_delta(t) psi(t,w)(e^gamma, 1), the free step law's monomials.
+        The exponent alpha(delta - w gamma) is the table's row of w gamma."""
+        weights, exps, _ = chars._module_table(self.cartan, self.delta)
+        rows = dict(zip(weights, exps.tolist()))
+        return {g: chars.monomial(self.t, rows[self.cartan.apply(self.w, g)])
+                for g in weights}
 
     @cached_property
     def drift(self) -> tuple:

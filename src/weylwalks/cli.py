@@ -162,7 +162,7 @@ def parse(argv) -> RunConfig:
                                      f"got {ns.type_filter!r}")
         return RunConfig(command="verify",
                          params={"criteria": criteria, "types": ns.type_filter})
-    for key in ("steps", "nmax", "n"):
+    for key in ("steps", "nmax", "n", "seed"):
         if getattr(ns, key, 0) < 0:
             build_parser().error(f"--{key} must be nonnegative, got {getattr(ns, key)}")
     cartan = ns.cartan

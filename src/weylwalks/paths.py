@@ -6,8 +6,9 @@ All path arithmetic is exact: durations, velocities and breakpoints are
 Fractions, and chamber tests are decided at breakpoints only (piecewise
 linearity makes that exact).  The integral weights around the paths are int
 tuples: the highest weight delta, the letters' endpoints and chamber
-thresholds (one table per crystal, _letter_table), and the vertices of the
-growth graphs.
+thresholds (one table per crystal, _letter_table), the vertices of the growth
+graphs, and the Pitman chain's states and steps (pitman_step, a lookup in the
+crystal's tables with no path arithmetic).
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ def _letter_table(cartan, delta):
     lam_k >= threshold_b[k] for every k, where threshold_b[k] is the ceiling of
     minus the least breakpoint coordinate k.  The minima of a Littelmann path's
     coroot heights are integers; the ceiling keeps the test exact without
-    relying on that.
+    relying on that.  Coordinate k is the alpha_k-height, so threshold_b[k] is
+    also eps_k(b), the length of b's e_k-string (pitman_step).
     """
     ends, thresholds = [], []
     for p in crystal(cartan, delta).paths:
@@ -382,13 +384,18 @@ def word_path(cartan: CartanDatum, delta, word) -> PLPath:
 # -- Pitman transforms ------------------------------------------------------------
 
 
-def _pitman_stage(cartan, segments, i, gap):
-    """P_alpha_i on a continuation: the input's alpha_i-height starts `gap`
-    above its running minimum.  Returns the output segments and the change
-    (<= 0) of the running minimum over them."""
+def pitman_transform(cartan: CartanDatum, path: PLPath, i: int) -> PLPath:
+    """P_alpha(path)(t) = path(t) - (inf_{s<=t} <path(s), alpha_i^vee>) alpha_i.
+
+    The running infimum is piecewise linear with rational breakpoints, so the
+    output is again an exact piecewise-linear path; its alpha_i-height is
+    nonnegative everywhere.
+    """
+    if not path.segments:
+        return path
     out = []
-    run_min, h = 0, gap
-    for d, v in segments:
+    run_min = h = 0
+    for d, v in path.segments:
         slope = v[i]
         h_end = h + slope * d
         if slope >= 0 or h_end >= run_min:
@@ -401,19 +408,7 @@ def _pitman_stage(cartan, segments, i, gap):
             out.append((d - c, cartan.reflect(v, i)))
             run_min = h_end
         h = h_end
-    return out, run_min
-
-
-def pitman_transform(cartan: CartanDatum, path: PLPath, i: int) -> PLPath:
-    """P_alpha(path)(t) = path(t) - (inf_{s<=t} <path(s), alpha_i^vee>) alpha_i.
-
-    The running infimum is piecewise linear with rational breakpoints, so the
-    output is again an exact piecewise-linear path; its alpha_i-height is
-    nonnegative everywhere.
-    """
-    if not path.segments:
-        return path
-    result = PLPath(_normalize(_pitman_stage(cartan, path.segments, i, 0)[0]))
+    result = PLPath(_normalize(out))
     assert min(p[i] for _, p in result.breakpoints()) >= 0
     return result
 
@@ -434,23 +429,36 @@ def pitman_chain(cartan: CartanDatum, path: PLPath, word=None) -> PLPath:
 
 
 @lru_cache(maxsize=None)
+def _raising_edges(cartan, delta):
+    """{(b, i): e_i b} over the letters of B(delta), delta an int tuple: the
+    crystal's f_i edges inverted."""
+    return {(dst, i): src for (src, i), dst in crystal(cartan, delta).edges.items()}
+
+
+@lru_cache(maxsize=None)
 def pitman_step(cartan: CartanDatum, delta, gaps, b):
     """Letter b of B(delta) appended to the input of the chain P_{w0}.
 
     The chain is causal: after a prefix, its state is the height gaps[s] >= 0 of
     each stage's input above its running minimum (stages in `pitman_chain`'s
-    order of application).  Returns (output increment, new gaps) as int tuples.
+    order of application).  On crystal letters each stage is a crystal move:
+    P_alpha_i at gap g lifts letter b by a = max(0, eps_i(b) - g), so it passes
+    on the letter e_i^a(b) and moves to gap g + <wt b, alpha_i^vee> + a
+    (Biane-Bougerol-O'Connell 2005).  Returns (output increment, new gaps) as
+    int tuples, the increment being the last letter's endpoint.
     """
-    segments = crystal(cartan, delta).paths[b].segments
+    ints = int_weight(gaps)
+    if ints is None or min(ints) < 0:
+        raise ValueError("Pitman chain state is not a tuple of nonnegative integers")
+    ends, thresholds = _letter_table(cartan, delta)
+    raising = _raising_edges(cartan, delta)
     new_gaps = []
-    for i, gap in zip(reversed(cartan.w0_word), gaps):
-        rise = sum(d * v[i] for d, v in segments)
-        segments, drop = _pitman_stage(cartan, segments, i, gap)
-        new_gaps.append(gap + rise - drop)
-    step = int_weight(PLPath(tuple(segments)).endpoint()), int_weight(new_gaps)
-    if None in step:
-        raise ValueError("Pitman chain state is not integral")
-    return step
+    for i, gap in zip(reversed(cartan.w0_word), ints):
+        a = max(0, thresholds[b][i] - gap)
+        new_gaps.append(gap + ends[b][i] + a)
+        for _ in range(a):
+            b = raising[b, i]
+    return ends[b], tuple(new_gaps)
 
 
 # -- highest-weight witnesses -------------------------------------------------------

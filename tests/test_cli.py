@@ -209,6 +209,8 @@ def test_exact_outputs_match_golden_bytes(capsys, command):
       "--nmax", "-3"], "--nmax"),
     (["measure", "eval", "--type", "A2", "--delta", "1,1", "--mode", "chamber",
       "--m", "0.3,0.3", "--n=-1"], "--n"),
+    (["sample", "--type", "A2", "--delta", "1,1", "--mode", "chamber", "--m", "0.3,0.2",
+      "--steps", "3", "--seed", "-1"], "--seed"),
 ])
 def test_negative_count_is_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

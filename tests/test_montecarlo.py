@@ -54,6 +54,8 @@ B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
 A3 = build_root_system("A", 3)
 C3 = build_root_system("C", 3)
+B3 = build_root_system("B", 3)
+D4 = build_root_system("D", 4)
 
 
 def interior_measure(cartan, delta, kind, seed=0):
@@ -424,6 +426,14 @@ def test_pitman_tv_b2_full_sweep(delta):
     for m in targets:
         for n in range(1, 4):
             assert pitman_equality_in_law(B2, delta, m, n) < 1e-12
+
+
+@pytest.mark.parametrize("cartan,delta", [(B3, (0, 0, 1)), (D4, (0, 1, 0, 0))])
+def test_pitman_tv_beyond_rank_two(cartan, delta):
+    rng = np.random.default_rng(41)
+    pt = random_boundary_point(cartan, delta, rng, chamber=True,
+                               force_support=range(cartan.rank), force_ones=())
+    assert pitman_equality_in_law(cartan, delta, pt.drift, 3) < 1e-12
 
 
 def test_pitman_rejects_nondominant():

@@ -24,11 +24,13 @@ from weylwalks import (
     weyl_dim,
     wzero,
     wadd,
+    wsub,
 )
 from weylwalks.chars import convolve_multisets
 from weylwalks.paths import (
     build_growth_graph,
     chamber_moves,
+    concat,
     crystal,
     crystal_to_dot,
     make_path,
@@ -324,6 +326,38 @@ def test_pitman_chain_preserves_chamber_paths():
         path = word_path(A2, (1, 0), word)
         if in_chamber(A2, path, wzero(2)):
             assert pitman_chain(A2, path) == path
+
+
+STAGE_CASES = SUITE + [
+    (build_root_system("C", 3), weight((1, 0, 0))),
+    (build_root_system("B", 3), weight((0, 0, 1))),
+    (build_root_system("D", 4), weight((0, 1, 0, 0))),
+    (build_root_system("F", 4), weight((0, 0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("cartan,delta", STAGE_CASES)
+def test_pitman_stage_raises_the_letter(cartan, delta):
+    # the stage rule of pitman_step: after a prefix ending g above its running
+    # minimum, P_alpha_i maps letter b to the crystal letter e_i^a(b),
+    # a = max(0, eps_i(b) - g); the prefix is the straight path to g omega_i
+    cb = crystal(cartan, delta)
+    for path in cb.paths:
+        for i in range(cartan.rank):
+            eps = int(-min(pos[i] for _, pos in path.breakpoints()))
+            for g in range(5):
+                raised = path
+                for _ in range(max(0, eps - g)):
+                    raised = root_operator(cartan, raised, i, "e")
+                assert raised in cb.paths
+                prefix = tuple(g * (k == i) for k in range(cartan.rank))
+                out = pitman_transform(cartan, concat(straight_path(prefix), path) if g else path, i)
+                start = Fraction(1 if g else 0)
+                assert out.length == start + 1
+                times = {start + s for s, _ in raised.breakpoints()}
+                times |= {s for s, _ in out.breakpoints() if s >= start}
+                for s in times:
+                    assert wsub(out.position(s), out.position(start)) == raised.position(s - start)
 
 
 # -- highest-weight witnesses ------------------------------------------------------------
