@@ -257,12 +257,6 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
     loc = polytope.locate(cartan, delta, m, strict=True)
     support = loc.face.indices
     target = cartan.alpha_coords(wsub(delta, loc.y))
-    assert all(c == 0 for k, c in enumerate(target) if k not in support)
-    # interior solutions need strictly positive targets; drop exact-zero
-    # coordinates when the reduced support is itself admissible
-    active = tuple(k for k in support if target[k] != 0)
-    if active != support and polytope.is_admissible(cartan, delta, active):
-        support = active
     u = _face_newton(cartan, delta, support, [float(c) for c in target])
     t = [0.0] * cartan.rank
     for i in support:

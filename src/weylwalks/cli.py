@@ -165,6 +165,10 @@ def parse(argv) -> RunConfig:
     for key in ("steps", "nmax", "n", "seed"):
         if getattr(ns, key, 0) < 0:
             build_parser().error(f"--{key} must be nonnegative, got {getattr(ns, key)}")
+    for key, env in (("dim_cap", ENV_DIM_CAP), ("level_cap", ENV_LEVEL_CAP)):
+        if getattr(ns, key, 1) < 1:
+            build_parser().error(f"--{key.replace('_', '-')} (default from {env}) must be "
+                                 f"at least 1, got {getattr(ns, key)}")
     cartan = ns.cartan
     command = ns.group if ns.group == "sample" else f"{ns.group}-{ns.verb}"
     delta = ()

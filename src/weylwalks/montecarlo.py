@@ -152,14 +152,18 @@ def lln_check(measure, steps: int, reps: int, seed: int = 0,
 
 def _pitman_law(cartan, delta, letter_probs, n, cap):
     """{endpoint: mass} of the free letter law pushed through the Pitman chain to
-    time n, over levels of merged causal states (paths.pitman_step), <= cap each."""
+    time n, over levels of merged causal states (paths.pitman_step), <= cap each.
+    Steps are cached for this call only."""
     letters = [(b, p) for b, p in enumerate(letter_probs) if p != 0.0]
     level = {((0,) * cartan.rank, (0,) * len(cartan.w0_word)): 1.0}
+    steps = {}
     for k in range(1, n + 1):
         nxt = {}
         for (end, gaps), mass in level.items():
             for b, p in letters:
-                step, new_gaps = paths.pitman_step(cartan, delta, gaps, b)
+                if (gaps, b) not in steps:
+                    steps[gaps, b] = paths.pitman_step(cartan, delta, gaps, b)
+                step, new_gaps = steps[gaps, b]
                 key = (tuple(x + y for x, y in zip(end, step)), new_gaps)
                 nxt[key] = nxt.get(key, 0.0) + mass * p
             if len(nxt) > cap:

@@ -435,7 +435,6 @@ def _raising_edges(cartan, delta):
     return {(dst, i): src for (src, i), dst in crystal(cartan, delta).edges.items()}
 
 
-@lru_cache(maxsize=None)
 def pitman_step(cartan: CartanDatum, delta, gaps, b):
     """Letter b of B(delta) appended to the input of the chain P_{w0}.
 

@@ -2,9 +2,12 @@
 dominant faces, exact point location, and the restricted parameter box
 [0,1]^d_delta.
 
-Hull membership is decided by a phase-1 simplex over exact rationals on the
-vertex description (the Weyl orbit of delta); float inputs are snapped to
-rationals at 1e-9 before exact tests.
+Point location uses the dominance cone (Humphreys 13.4): a dominant y lies in
+K(delta) iff delta - y is a nonnegative combination of simple roots, and in the
+face of J iff that combination is supported on J.  Float inputs are snapped to
+rationals at 1e-9 first.  A phase-1 simplex over exact rationals on the vertex
+description (l1_infeasibility, hull_contains) is kept only as the independent
+hull oracle that the acceptance checks and tests compare against.
 """
 
 from __future__ import annotations
@@ -241,46 +244,30 @@ def snap_coords(m) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _full_orbit(cartan, delta):
-    return cartan.orbit(delta)
-
-
 def locate(cartan: CartanDatum, delta, m, strict: bool = True) -> LocateResult:
-    """Locate m in K(delta): hull membership, dominant representative with its
-    minimal coset element, and the smallest admissible set whose face holds it.
+    """Locate m in K(delta) by the dominance cone: with y the dominant
+    representative of m, m is inside iff delta - y has nonnegative simple-root
+    coordinates, and y is in the face of an admissible J iff those coordinates
+    vanish off J; the face is the smallest such J.
 
-    Float input is snapped at 1e-9 and tested with 1e-9 L1 slack; exact input
-    is tested exactly.  With strict=True a point outside raises NotInPolytope.
+    Float input is snapped at 1e-9 and read with a 1e-9 slack on the simple-root
+    coordinates, below which they are projected to zero; exact input is read
+    exactly.  With strict=True a point outside raises NotInPolytope.
     """
     delta = weight(delta)
-    is_float = any(isinstance(c, float) for c in m)
-    mq = snap_coords(m)
-    slack = FLOAT_SNAP if is_float else Fraction(0)
-    orbit = _full_orbit(cartan, delta)
-    inside = hull_contains(orbit, mq, slack)
-    y, w = dominant_representative(cartan, mq)
-    if not inside:
+    slack = FLOAT_SNAP if any(isinstance(c, float) for c in m) else Fraction(0)
+    y, w = dominant_representative(cartan, snap_coords(m))
+    coords = cartan.alpha_coords(wsub(delta, y))
+    if min(coords) < -slack:
         if strict:
             raise NotInPolytope(f"{format_weight(m)} is outside K{format_weight(delta)}")
         return LocateResult(inside=False, y=y, w=w, face=None)
-
-    # Project away sub-threshold support noise so face tests are exact.
-    coords = cartan.alpha_coords(wsub(delta, y))
-    support = tuple(k for k, c in enumerate(coords) if abs(c) > slack)
-    if is_float:
+    support = {k for k, c in enumerate(coords) if abs(c) > slack}
+    if slack:
         y = wsub(delta, cartan.from_alpha(
             [c if k in support else Fraction(0) for k, c in enumerate(coords)]))
-
-    face = None
-    for adm in admissible_subsets(cartan, delta):
-        if not set(support) <= set(adm.indices):
-            continue
-        vertices = cartan.orbit(delta, adm.indices)
-        if hull_contains(vertices, y, slack):
-            face = adm
-            break
-    assert face is not None, "the full set of simple roots always succeeds"
+    face = next(adm for adm in admissible_subsets(cartan, delta)
+                if support <= set(adm.indices))
     return LocateResult(inside=True, y=y, w=w, face=face)
 
 

@@ -211,14 +211,25 @@ def test_exact_outputs_match_golden_bytes(capsys, command):
       "--m", "0.3,0.3", "--n=-1"], "--n"),
     (["sample", "--type", "A2", "--delta", "1,1", "--mode", "chamber", "--m", "0.3,0.2",
       "--steps", "3", "--seed", "-1"], "--seed"),
+    (["graph", "build", "--type", "A2", "--delta", "1,0", "--kind", "chamber",
+      "--nmax", "2", "--level-cap", "-1"], "--level-cap"),
+    (["graph", "build", "--type", "A2", "--delta", "1,0", "--kind", "chamber",
+      "--nmax", "2", "--level-cap", "0"], "--level-cap"),
+    (["crystal", "build", "--type", "A2", "--delta", "1,0", "--dim-cap", "-5"], "--dim-cap"),
+    (["crystal", "build", "--type", "A2", "--delta", "1,0", "--dim-cap", "0"], "--dim-cap"),
 ])
 def test_negative_count_is_usage_error(capsys, argv, flag):
+    # counts must be >= 0 and caps >= 1
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"{flag} must be nonnegative, got -" in out.err
+    if flag.endswith("-cap"):
+        assert f"{flag} (default from WEYLWALKS_" in out.err
+        assert f"must be at least 1, got {argv[-1]}" in out.err
+    else:
+        assert f"{flag} must be nonnegative, got -" in out.err
     assert "Traceback" not in out.err
 
 
@@ -315,6 +326,23 @@ def test_non_integer_cap_environment_is_usage_error(capsys, monkeypatch, name):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"weylwalks: error: {name} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("env,argv", [
+    ("WEYLWALKS_LEVEL_CAP", ["graph", "build", "--type", "A2", "--delta", "1,0",
+                             "--kind", "chamber", "--nmax", "2"]),
+    ("WEYLWALKS_DIM_CAP", ["crystal", "build", "--type", "A2", "--delta", "1,0"]),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cap_below_one_from_environment_is_usage_error(capsys, monkeypatch, env, argv, value):
+    monkeypatch.setenv(env, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"(default from {env}) must be at least 1, got {value}" in out.err
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 """Weight polytope: admissible subsets, dominant faces, exact point location.
 
-The exact simplex is cross-checked against an independent dominance-order
-characterization of hull membership and against an exact monotone-chain hull on
-rank-2 cases.
+The exact simplex (the hull oracle) is cross-checked against an independent
+dominance-order characterization of hull membership and against an exact
+monotone-chain hull on rank-2 cases; point location, which uses the dominance
+cone, is cross-checked against the simplex on the orbit and on each face.
 """
 
 import math
@@ -23,6 +24,7 @@ from weylwalks import (
     wsub,
 )
 from weylwalks.polytope import (
+    FLOAT_SNAP,
     admissible_depths,
     face_lattice_jsonable,
     hull_contains,
@@ -36,6 +38,11 @@ A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
+A3 = build_root_system("A", 3)
+B3 = build_root_system("B", 3)
+C3 = build_root_system("C", 3)
+D4 = build_root_system("D", 4)
+F4 = build_root_system("F", 4)
 
 
 # -- exact feasibility core -------------------------------------------------------
@@ -103,6 +110,8 @@ def dominance_hull_oracle(cartan, delta, m):
 
 @pytest.mark.parametrize("cartan,delta", [
     (A1, (2,)), (A2, (1, 0)), (A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0)),
+    (A3, (1, 0, 0)), (B3, (0, 0, 1)), (C3, (1, 0, 0)), (D4, (1, 0, 0, 0)),
+    (F4, (0, 0, 0, 1)),
 ])
 def test_hull_matches_dominance_oracle(cartan, delta):
     rng = np.random.default_rng(42)
@@ -240,6 +249,89 @@ def test_locate_float_near_boundary():
     # a point 1e-12 outside the hull still passes under the float slack
     res = locate(A1, (1,), (1.0 + 1e-12,))
     assert res.inside
+
+
+@pytest.mark.parametrize("cartan,delta", [
+    (A2, (1, 0)), (B2, (0, 1)), (G2, (1, 0)), (A3, (0, 1, 0)), (B3, (0, 0, 1)),
+])
+@pytest.mark.parametrize("eps,inside", [(1e-12, True), (1e-6, False)])
+def test_locate_float_slack_on_both_sides(cartan, delta, eps, inside):
+    # y0 = delta - c delta_i alpha_i lies on the edge [delta, s_i delta] with
+    # generic float coordinates, so snapping keeps the push (1 + eps) y0, which
+    # leaves K(delta) by about eps on every other simple-root coordinate
+    delta = weight(delta)
+    i = next(k for k, d in enumerate(delta) if d)
+    c = 1 / math.pi
+    y0 = tuple(float(d - c * delta[i] * a) for d, a in zip(delta, cartan.alpha[i]))
+    m = tuple(x * (1 + eps) for x in y0)
+    assert min(cartan.alpha_coords(wsub(delta, snap_coords(m)))) < 0
+    if not inside:
+        with pytest.raises(NotInPolytope):
+            locate(cartan, delta, m)
+        assert not locate(cartan, delta, m, strict=False).inside
+        return
+    res = locate(cartan, delta, m)
+    assert res.inside and res.w == cartan.identity
+    support = [k for k, x in enumerate(cartan.alpha_coords(wsub(delta, res.y))) if x]
+    assert support == [i] and res.face.indices == (i,)
+
+
+def simplex_locate(cartan, delta, m):
+    """Reference location by the simplex alone: (inside, y, w, face indices) with
+    hull membership on the Weyl orbit of delta and, for the dominant
+    representative y, the first admissible set whose face orbit holds y."""
+    slack = FLOAT_SNAP if any(isinstance(c, float) for c in m) else 0
+    mq = snap_coords(m)
+    y, w = dominant_representative(cartan, mq)
+    if not hull_contains(cartan.orbit(delta), mq, slack):
+        return False, y, w, None
+    face = next(a for a in admissible_subsets(cartan, delta)
+                if hull_contains(cartan.orbit(delta, a.indices), y, slack))
+    return True, y, w, face.indices
+
+
+@pytest.mark.parametrize("cartan,delta", [
+    (A2, (1, 1)), (B2, (0, 1)), (G2, (1, 0)), (A3, (0, 1, 0)), (B3, (0, 0, 1)),
+    (C3, (1, 0, 0)), (D4, (1, 0, 0, 0)), (F4, (0, 0, 0, 1)),
+])
+def test_locate_matches_simplex_reference(cartan, delta):
+    rng = np.random.default_rng(5)
+    delta = weight(delta)
+    orbit = cartan.orbit(delta)
+    adms = admissible_subsets(cartan, delta)
+
+    def mixture(vertices, exact):
+        if exact:
+            c = [Fraction(int(x)) for x in rng.integers(0, 4, size=len(vertices))]
+            c[0] += 1
+            c = [x / sum(c) for x in c]
+        else:
+            c = rng.dirichlet(np.ones(len(vertices))).tolist()
+        return tuple(sum(a * v[k] for a, v in zip(c, vertices)) for k in range(cartan.rank))
+
+    def moved(v):
+        for i in rng.integers(0, cartan.rank, size=6):
+            v = cartan.reflect(v, int(i))
+        return v
+
+    points = []
+    for _ in range(4):
+        den = int(rng.integers(1, 4))
+        points.append(tuple(Fraction(int(x), den) for x in rng.integers(-3, 4, size=cartan.rank)))
+        points.append(mixture(orbit, exact=False))
+        face = adms[int(rng.integers(len(adms)))]
+        on_face = moved(mixture(cartan.orbit(delta, face.indices), exact=True))
+        points.append(on_face)
+        points.append(tuple(float(x) + 1e-12 * float(rng.choice([-1, 1])) for x in on_face))
+    for m in points:
+        res = locate(cartan, delta, m, strict=False)
+        inside, y, w, face = simplex_locate(cartan, delta, m)
+        assert (res.inside, res.w) == (inside, w), m
+        assert (res.face.indices if res.inside else None) == face, m
+        if any(isinstance(c, float) for c in m):
+            assert max(abs(a - b) for a, b in zip(res.y, y)) < 1e-8
+        else:
+            assert res.y == y
 
 
 def test_locate_nondominant_point():
