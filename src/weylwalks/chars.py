@@ -4,7 +4,10 @@ decompositions, and the Toeplitz-minor total-positivity check.
 
 The combinatorial layer (multiplicities, decompositions) is exact integer
 arithmetic; evaluations at a parameter vector t in [0,1]^d are binary64 with
-the convention 0**0 = 1, so boundary parameters are safe.
+the convention 0**0 = 1, so boundary parameters are safe.  numpy is imported
+inside the float evaluators only (_module_table, evaluate_S, the Toeplitz
+minors, _coset_pack, weyl_numerator_batch), so the exact layers and the CLI
+subcommands built on them start without it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DimensionCap, InvalidWeight, OrderViolation, format_weight
 from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, wadd, wsub
@@ -148,6 +149,8 @@ def _module_table(cartan, lam):
     tuple, its exponent alpha(lambda - gamma) an int row and its multiplicity a
     float.  S_{lambda,mu} adds alpha(mu - lambda) to every exponent row.  No
     dimension-cap check: callers pass lambda through check_weight with the cap."""
+    import numpy as np
+
     rows = sorted(_weight_multiplicities(cartan, lam).entries.items())
     weights = tuple(gamma for gamma, _ in rows)
     exps = [cartan.int_alpha_coords(wsub(lam, gamma)) for gamma in weights]
@@ -184,6 +187,8 @@ def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
     and is 1 at mu = lambda, t = 0 under the 0**0 = 1 convention.  Raises
     DimensionCap before building the table of a module over DEFAULT_DIM_CAP.
     """
+    import numpy as np
+
     top = check_weight(cartan, lam, DEFAULT_DIM_CAP)
     shift = order_exponent(cartan, top, mu)
     _, exps, mults = _module_table(cartan, top)
@@ -320,6 +325,8 @@ def toeplitz_min_minor(seq, kmax: int, chunk: int = 200000) -> float:
     Row/column index sets are enumerated over the window; determinants are
     batched through numpy in chunks to bound memory.
     """
+    import numpy as np
+
     n = len(seq)
     size = n + kmax
     a = np.zeros(size, dtype=float)
@@ -362,6 +369,8 @@ def _coset_pack(cartan, ones):
     order (all of W for I = ()), int tables (for weights x, x @ images holds every
     u(x) and x @ lifts every x - u(x) in root coordinates), dets, int coroots of
     Phi_I^+ (<v, alpha^vee> = row . v) and the guard."""
+    import numpy as np
+
     reps = tuple(dict.fromkeys(minimal_coset_rep(cartan, w, ones)
                                for w in cartan.elements))
     units = [tuple(int(i == j) for j in range(cartan.rank)) for i in range(cartan.rank)]
@@ -395,8 +404,8 @@ def _exact_numerator(cartan, reps, coroots, lam, t) -> float:
     return total / math.prod(q**m for (_, q), m in zip(ratios, top))
 
 
-def weyl_numerator_batch(cartan: CartanDatum, lams, t) -> np.ndarray:
-    """N_lambda(t) for a stack of weights at one t in [0,1]^d.
+def weyl_numerator_batch(cartan: CartanDatum, lams, t):
+    """N_lambda(t) for a stack of weights at one t in [0,1]^d, as a float array.
 
     With I = {i : t_i = 1}, N_lambda(t) sums det(u) t^((lam+rho) - u(lam+rho))
     prod_{alpha in Phi_I^+} <u(lam+rho), alpha^vee> over the minimal coset
@@ -406,6 +415,8 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t) -> np.ndarray:
     coordinates, 0**0 = 1.  A weight whose float sum cancels, kappa = sum|terms| /
     |sum| with the rounding bound kappa |W/W_I| 2^-53 over ROW_TOL / 4, is summed exactly.
     """
+    import numpy as np
+
     t = [float(x) for x in t]
     ones = tuple(i for i, x in enumerate(t) if x == 1.0)
     zeros = [i for i, x in enumerate(t) if x == 0.0]

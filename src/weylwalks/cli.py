@@ -19,7 +19,9 @@ from functools import partial
 
 from .errors import WeylWalksError
 from .rootdata import cartan_type
-from . import acceptance, boundary, chars, montecarlo, paths, polytope
+# acceptance, boundary and montecarlo (and numpy with them) are imported by the
+# branches that use them, so the exact subcommands start without numpy
+from . import chars, paths, polytope
 
 ENV_DIM_CAP = "WEYLWALKS_DIM_CAP"
 ENV_LEVEL_CAP = "WEYLWALKS_LEVEL_CAP"
@@ -77,9 +79,12 @@ def _add_common(sub, need_delta=True):
     if need_delta:
         sub.add_argument("--delta", type=_coords, required=True,
                          help="highest weight, omega-coordinates, e.g. 1,0")
-    sub.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                     default="json")
     return sub
+
+
+def _add_format(sub):
+    """--format, for the subcommands with a CSV form (measure eval, sample)."""
+    sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     meas_sub = meas.add_subparsers(dest="verb", required=True)
     me = meas_sub.add_parser("eval")
     _add_common(me)
+    _add_format(me)
     me.add_argument("--mode", choices=("free", "chamber"), required=True)
     me.add_argument("--m", type=_drift_coords, required=True, help="drift target")
     me.add_argument("--lambda", dest="lam", type=_coords)
@@ -128,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sa = top.add_parser("sample", help="sample a random walk")
     _add_common(sa)
+    _add_format(sa)
     sa.add_argument("--mode", choices=("free", "chamber"), required=True)
     sa.add_argument("--m", type=_drift_coords, required=True)
     sa.add_argument("--steps", type=int, required=True)
@@ -156,6 +163,8 @@ def parse(argv) -> RunConfig:
             if unknown:
                 build_parser().error(f"unknown criteria {unknown}")
         if ns.type_filter is not None:
+            from . import acceptance
+
             suite_types = list(dict.fromkeys(tok for tok, _, _ in acceptance.suite_deltas()))
             if ns.type_filter not in suite_types:
                 build_parser().error(f"--type must be a suite type {suite_types}, "
@@ -185,7 +194,7 @@ def parse(argv) -> RunConfig:
     return RunConfig(
         command=command, family=cartan.family, rank=cartan.rank,
         delta=delta, params=params, seed=getattr(ns, "seed", None),
-        fmt=ns.fmt,
+        fmt=getattr(ns, "fmt", "json"),
     )
 
 
@@ -204,6 +213,8 @@ def _emit(doc) -> str:
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
     if config.command == "verify":
+        from . import acceptance
+
         results = acceptance.run_acceptance(
             criteria=config.params["criteria"],
             types=[config.params["types"]] if config.params["types"] else None,
@@ -242,6 +253,8 @@ def run(config: RunConfig) -> int:
         print(_emit(polytope.face_lattice_jsonable(faces)))
         return 0
 
+    from . import boundary
+
     if config.command == "drift-invert":
         pt = boundary.invert_drift(cartan, delta, p["m"])
         print(_emit(pt.to_jsonable()))
@@ -265,6 +278,8 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "sample":
+        from . import montecarlo
+
         meas = boundary.central_measure(cartan, delta, p["mode"], p["m"])
         traj = montecarlo.sample_trajectory(meas, p["steps"], seed=config.seed)
         if config.fmt == "csv":

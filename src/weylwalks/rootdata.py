@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -94,7 +95,7 @@ class WeylElement:
 
 
 def _mat_apply(matrix, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in matrix)
+    return tuple(sum(map(operator.mul, row, v)) for row in matrix)
 
 
 def _mat_mul(a, b):
@@ -299,7 +300,10 @@ class CartanDatum:
         return tuple(sorted(pos))
 
     def _enumerate_weyl_group(self):
+        # s_i = 1 - alpha_i e_i^T, so w s_i and s_i w^-1 are rank-one updates of w
+        # and w^-1: no matrix products
         rank = self.rank
+        positive = set(self.positive_roots)
         ident = WeylElement(_identity_matrix(rank), ())
         elements = [ident]
         inv_mats = [ident.matrix]
@@ -312,9 +316,11 @@ class CartanDatum:
                 for i in range(rank):
                     # l(w s_i) > l(w)  iff  w(alpha_i) is a positive root
                     img = _mat_apply(w.matrix, self.alpha[i])
-                    if not all(c >= 0 for c in self.int_alpha_coords(img)):
+                    if img not in positive:
                         continue
-                    mat = _mat_mul(w.matrix, self._simple_reflections[i])
+                    # w s_i: column i becomes w[:, i] - w(alpha_i)
+                    mat = tuple(row[:i] + (row[i] - x,) + row[i + 1:]
+                                for row, x in zip(w.matrix, img))
                     if mat in index:
                         continue
                     if len(elements) >= WEYL_ORDER_CAP:
@@ -323,8 +329,11 @@ class CartanDatum:
                             f"order cap {WEYL_ORDER_CAP}"
                         )
                     elements.append(WeylElement(mat, w.word + (i,)))
-                    # (w s_i)^{-1} = s_i w^{-1}
-                    inv_mats.append(_mat_mul(self._simple_reflections[i], inv_mats[idx]))
+                    # (w s_i)^{-1} = s_i w^{-1}: row k loses alpha_i[k] times row i
+                    inv = inv_mats[idx]
+                    inv_mats.append(tuple(
+                        tuple(x - a * y for x, y in zip(row, inv[i])) if a else row
+                        for row, a in zip(inv, self.alpha[i])))
                     index[mat] = len(elements) - 1
                     nxt.append(len(elements) - 1)
             frontier = nxt

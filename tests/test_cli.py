@@ -59,6 +59,16 @@ def test_seed_required_for_sampling():
     assert exc.value.code == 2
 
 
+def test_format_only_where_csv_exists(capsys):
+    # csv switches measure eval and sample; elsewhere --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["crystal", "build", "--type", "A2", "--delta", "1,0", "--format", "csv"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --format csv" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_root_info_output(capsys):
     code, out, _ = run_cli(capsys, "root", "info", "--type", "G2")
     assert code == 0
@@ -434,10 +444,10 @@ def cli_argv(draw):
     if verb == "graph build":
         return argv + ["--kind", draw(st.sampled_from(["free", "chamber"])),
                        "--nmax", str(draw(st.integers(0, 4)))]
-    if verb != "drift invert":
-        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
     if verb in ("crystal build", "polytope faces"):
         return argv
+    if verb in ("measure eval", "sample"):
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
     argv += ["--m=" + draw(drift_target(cartan, delta))]
     if verb == "drift invert":
         return argv

@@ -1,5 +1,7 @@
 """Root data: classical tables, form invariance, coset representatives."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from weylwalks import (
     weight,
     wzero,
 )
-from weylwalks.rootdata import cartan_type
+from weylwalks.rootdata import _mat_apply, _mat_mul, cartan_type
 
 CLASSICAL_CASES = [
     ("A", 1, 2, 1),
@@ -216,3 +218,39 @@ def test_dominant_representative_properties(tok, coords):
     for i in range(c.rank):
         if y[i] == 0:
             assert c.multiply(c.simple_reflection(i), w).length > w.length
+
+
+def _reference_enumeration(c):
+    """The Weyl group by matrix products, the rule the rank-one updates replace:
+    breadth first over w -> w s_i with l(w s_i) > l(w), inverses s_i w^-1."""
+    ident = tuple(tuple(int(i == j) for j in range(c.rank)) for i in range(c.rank))
+    elements, inverses, index = [(ident, ())], [ident], {ident: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for idx in frontier:
+            mat, word = elements[idx]
+            for i in range(c.rank):
+                if min(c.int_alpha_coords(_mat_apply(mat, c.alpha[i]))) < 0:
+                    continue
+                new = _mat_mul(mat, c._simple_reflections[i])
+                if new not in index:
+                    index[new] = len(elements)
+                    elements.append((new, word + (i,)))
+                    inverses.append(_mat_mul(c._simple_reflections[i], inverses[idx]))
+                    nxt.append(index[new])
+        frontier = nxt
+    return elements, tuple(index[m] for m in inverses)
+
+
+@pytest.mark.parametrize("token", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                                   "D4", "G2", "F4"])
+def test_weyl_enumeration_matches_matrix_products(token):
+    c = cartan_type(token)
+    elements, inverse_index = _reference_enumeration(c)
+    assert [(w.matrix, w.word) for w in c.elements] == elements
+    assert c._inverse_index == inverse_index
+    # w0_word is a reduced word of the reference's longest element, its last one
+    w0, w0_word = elements[-1]
+    product = functools.reduce(_mat_mul, (c._simple_reflections[i] for i in c.w0_word))
+    assert product == w0 and len(c.w0_word) == len(w0_word) == len(c.positive_roots)
