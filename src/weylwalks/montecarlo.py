@@ -154,7 +154,9 @@ def _pitman_law(cartan, delta, letter_probs, n, cap):
     """{endpoint: mass} of the free letter law pushed through the Pitman chain to
     time n, over levels of merged causal states (paths.pitman_step), <= cap each.
     Steps are cached for this call only; one first met in the last level is
-    not stored, since no later level looks it up."""
+    not stored, so it is computed again for each last-level state with the
+    same gaps (A1 states share gaps with different endpoints; F4 (0,0,0,1)
+    at n = 4 has none)."""
     letters = [(b, p) for b, p in enumerate(letter_probs) if p != 0.0]
     level = {((0,) * cartan.rank, (0,) * len(cartan.w0_word)): 1.0}
     steps = {}
