@@ -68,11 +68,8 @@ class BoundaryPoint:
         if not polytope.in_unit_box_delta(cartan, self.delta, self.t):
             raise ValueError(f"t = {self.t} is not in the restricted box")
         stab = stabilizer_set(cartan, self.delta, self.t)
-        for i in stab:
-            si_w = cartan.multiply(cartan.simple_reflection(i), w)
-            if si_w.length < w.length:
-                raise ValueError(
-                    f"w = {w.word} is not minimal modulo the stabilizer {stab}")
+        if minimal_coset_rep(cartan, w, stab) != w:
+            raise ValueError(f"w = {w.word} is not minimal modulo the stabilizer {stab}")
 
     @cached_property
     def s_delta(self) -> float:
@@ -107,9 +104,6 @@ class BoundaryPoint:
             "drift": [repr(x) for x in self.drift],
             "s_hat": repr(s_hat_t(self.cartan, self.delta, self.t)),  # inf on faces
         }
-
-    def one_set(self) -> tuple:
-        return tuple(i for i, x in enumerate(self.t) if x == 1.0)
 
     def __repr__(self):
         return f"BoundaryPoint(t={self.t}, w={self.w.word})"
@@ -169,11 +163,13 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
     gamma must be a weight of the n-th tensor power (NotAWeight otherwise);
     the value is multiplicative under concatenation.  The weights of
     V(delta)^(x)n are those of V(n delta), so gamma is one iff it is integral
-    and n delta minus its dominant representative lies in Q+ (saturation)."""
+    and n delta minus its dominant representative lies in Q+ (saturation).
+    InvalidWeight when gamma has the wrong rank."""
     cartan = point.cartan
+    chars.check_rank(cartan, gamma)
     g = int_weight(gamma)
     below = None if g is None else \
-        chars.free_exponent(cartan, point.delta, cartan.identity, n, chars._dominant(cartan, g))
+        chars.free_exponent(cartan, point.delta, cartan.identity, n, cartan.descend(g)[0])
     if below is None or min(below) < 0:
         raise NotAWeight(f"{format_weight(gamma)} is not a weight at level {n}")
     e = chars.free_exponent(cartan, point.delta, point.w, n, g)
@@ -393,11 +389,12 @@ class CentralMeasure:
     def kernel_row(self, lam) -> dict:
         """Transition probabilities out of lam (from any level, homogeneous),
         keyed by int tuples; a chamber row is its ChamberKernel table.  lam
-        must be integral (NotAWeight) and, for a chamber row, dominant
-        (InvalidWeight)."""
+        must have the right rank (InvalidWeight), be integral (NotAWeight) and,
+        for a chamber row, dominant (InvalidWeight)."""
         if self.kind == "chamber":
             mus, probs, _, _ = self.chamber_kernel.table(chars.check_weight(self.cartan, lam))
             return {mu: q for mu, q in zip(mus, probs) if q}
+        chars.check_rank(self.cartan, lam)
         start = int_weight(lam)
         if start is None:
             raise NotAWeight(f"{format_weight(lam)} is not an integral weight")
@@ -467,7 +464,11 @@ class CHarmonicLevel:
 
     def sample_points(self, count: int, seed: int = 0) -> list:
         """Boundary points on the level set, found by bisection along rays from
-        t = 1 toward box faces (each ray crosses the level set exactly once)."""
+        t = 1 toward box faces (each ray crosses the level set exactly once).
+        ValueError when c Z is out of reach of every ray: s_hat is convex in
+        log t, so on the rays' ends (some t_j = end, the others in [end, 1)) it
+        stays below its largest value on the corners of {end, 1}^d other than
+        all ones."""
         if self.kind == "empty":
             return []
         ones = (1.0,) * self.cartan.rank
@@ -475,6 +476,12 @@ class CHarmonicLevel:
             return [boundary_point(self.cartan, self.delta, ones)]
         z = chars.weyl_dim(self.cartan, self.delta)
         target = self.c * z
+        reach = 1.0 - 1e-12  # every ray's bracket is [0, reach]
+        end = 1.0 - reach  # t_j at a ray's end where direction_j = 0
+        if target >= max(s_hat_t(self.cartan, self.delta, corner)
+                         for corner in itertools.product((end, 1.0), repeat=self.cartan.rank)
+                         if corner != ones):
+            raise ValueError(f"c = {self.c} is out of reach of the sampler's rays")
         rng = np.random.default_rng(seed)
         out = []
         while len(out) < count:
@@ -485,7 +492,7 @@ class CHarmonicLevel:
                 t = tuple(1.0 + s * (d - 1.0) for d in direction)
                 return s_hat_t(self.cartan, self.delta, t)
 
-            lo, hi = 0.0, 1.0 - 1e-12
+            lo, hi = 0.0, reach
             if val(hi) < target:
                 continue
             for _ in range(200):
@@ -504,7 +511,10 @@ def c_harmonic_level(cartan: CartanDatum, delta, c: float) -> CHarmonicLevel:
     """Classification of extremal c-harmonic measures on the chamber walk.
 
     Empty for c < 1; for c = 1 the singleton at t = 1 (drift 0); for c > 1 a
-    sampler of the level set {s_hat = c dim V(delta)}."""
+    sampler of the level set {s_hat = c dim V(delta)}.  ValueError unless c is
+    finite and positive."""
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     if c <= 0:
         raise ValueError("c must be positive")
     delta = chars.check_weight(cartan, delta)

@@ -4,10 +4,14 @@ decompositions, and the Toeplitz-minor total-positivity check.
 
 The combinatorial layer (multiplicities, decompositions) is exact integer
 arithmetic; evaluations at a parameter vector t in [0,1]^d are binary64 with
-the convention 0**0 = 1, so boundary parameters are safe.  numpy is imported
-inside the float evaluators only (_module_table, evaluate_S, the Toeplitz
-minors, _coset_pack, weyl_numerator_batch), so the exact layers and the CLI
-subcommands built on them start without it.
+the convention 0**0 = 1, so boundary parameters are safe.  Weyl numerators
+(weyl_numerator_batch) read one int table of terms per weight, an alternating
+sum over the coset representatives of W_I\\W: exponent rows, signs and coroot
+pairings.  The table is summed in binary64, or, when that sum cancels, in
+integers and rounded once.  numpy is imported inside the float evaluators
+only (_module_table, evaluate_S, the Toeplitz minors, _coset_pack,
+weyl_numerator_batch), so the exact layers and the CLI subcommands built on
+them start without it.
 """
 
 from __future__ import annotations
@@ -31,19 +35,18 @@ class WeightMultiset:
     top: tuple
     entries: dict
 
-    def total_mass(self) -> int:
-        return sum(self.entries.values())
 
-    def __iter__(self):
-        return iter(self.entries.items())
+def check_rank(cartan, lam):
+    """InvalidWeight unless lam has one coordinate per simple root."""
+    if len(lam) != cartan.rank:
+        raise InvalidWeight(f"weight {format_weight(lam)} has wrong rank")
 
 
 def check_weight(cartan, lam, dim_cap=None):
     """lam as an int tuple; InvalidWeight unless it is a dominant integral
     weight of the right rank, DimensionCap when dim V(lambda) exceeds dim_cap."""
     top = int_weight(lam)
-    if len(lam) != cartan.rank:
-        raise InvalidWeight(f"weight {format_weight(lam)} has wrong rank")
+    check_rank(cartan, lam)
     if top is None or min(top) < 0:
         raise InvalidWeight(f"{format_weight(lam)} is not a dominant integral weight")
     if dim_cap is not None and _weyl_dim(cartan, top) > dim_cap:
@@ -117,7 +120,7 @@ def _weight_multiplicities(cartan, lam):
             nu = mu
             while True:
                 nu = wadd(nu, alpha)
-                m = mult_dom.get(_dominant(cartan, nu))
+                m = mult_dom.get(cartan.descend(nu)[0])
                 if m is None:
                     break
                 acc += m * sum(x * y for x, y in zip(nu, f_alpha))
@@ -131,15 +134,6 @@ def _weight_multiplicities(cartan, lam):
             entries[nu] = m
     assert sum(entries.values()) == _weyl_dim(cartan, lam)
     return WeightMultiset(top=lam, entries=entries)
-
-
-def _dominant(cartan, v):
-    """Dominant representative, no coset bookkeeping (internal fast path)."""
-    y = v
-    while not cartan.is_dominant(y):
-        i = next(k for k in range(cartan.rank) if y[k] < 0)
-        y = cartan.reflect(y, i)
-    return y
 
 
 @lru_cache(maxsize=None)
@@ -365,10 +359,10 @@ ROW_TOL = 1e-12  # a chamber kernel row sums to 1 within this bound
 
 @lru_cache(maxsize=None)
 def _coset_pack(cartan, ones):
-    """The minimal coset representatives u of W_I\\W, I = ones, in enumeration
-    order (all of W for I = ()), int tables (for weights x, x @ images holds every
-    u(x) and x @ lifts every x - u(x) in root coordinates), dets, int coroots of
-    Phi_I^+ (<v, alpha^vee> = row . v) and the guard."""
+    """Int tables of the minimal coset representatives u of W_I\\W, I = ones, in
+    enumeration order (all of W for I = ()): for weights x, x @ images holds every
+    u(x) and x @ lifts every x - u(x) in root coordinates; with them the dets, the
+    int coroots of Phi_I^+ (<v, alpha^vee> = row . v) and the guard."""
     import numpy as np
 
     reps = tuple(dict.fromkeys(minimal_coset_rep(cartan, w, ones)
@@ -383,24 +377,21 @@ def _coset_pack(cartan, ones):
         for a in cartan.positive_roots
         if all(c == 0 for k, c in enumerate(cartan.alpha_coords(a)) if k not in ones))
     guard = len(reps) * 2.0**-53 / (ROW_TOL / 4)
-    return (reps, images.reshape(cartan.rank, -1), lifts.reshape(cartan.rank, -1),
+    return (images.reshape(cartan.rank, -1), lifts.reshape(cartan.rank, -1),
             dets, coroots, guard)
 
 
-def _exact_numerator(cartan, reps, coroots, lam, t) -> float:
-    """The same coset sum in integers, rounded once: t_i = p_i/q_i with q_i a
-    power of two, so the sum is an integer over prod q_i^M_i."""
-    mu = tuple(c + 1 for c in lam)  # lam + rho
-    terms = []
-    for u in reps:
-        image = cartan.apply(u, mu)
-        coef = cartan.det(u) * math.prod(sum(c * x for c, x in zip(row, image))
-                                         for row in coroots)
-        terms.append((coef, cartan.int_alpha_coords(wsub(mu, image))))
-    ratios = [float(x).as_integer_ratio() for x in t]
-    top = [max(e[i] for _, e in terms) for i in range(cartan.rank)]
-    total = sum(coef * math.prod(p**k * q**(m - k) for (p, q), k, m in zip(ratios, e, top))
-                for coef, e in terms)
+def _exact_sum(coefs, exps, t) -> float:
+    """sum_u coefs[u] t^exps[u] for int coefficients and int exponent rows, rounded
+    once: t_i = p_i/q_i with q_i a power of two, so the sum is an integer over
+    prod q_i^M_i, M_i the largest exponent of t_i, and each p_i^k q_i^(M_i-k) is
+    formed once per (i, k)."""
+    ratios = [x.as_integer_ratio() for x in t]
+    cols = list(zip(*exps))
+    top = [max(col) for col in cols]
+    powers = [{k: p**k * q**(m - k) for k in set(col)}
+              for (p, q), m, col in zip(ratios, top, cols)]
+    total = sum(c * math.prod(pw[k] for pw, k in zip(powers, e)) for c, e in zip(coefs, exps))
     return total / math.prod(q**m for (_, q), m in zip(ratios, top))
 
 
@@ -411,29 +402,34 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t):
     prod_{alpha in Phi_I^+} <u(lam+rho), alpha^vee> over the minimal coset
     representatives u of W_I\\W (parabolic Weyl character formula, Fulton-Harris
     24; the Weyl numerator for I = ()): S_{lam,lam}(t) = N_lambda(t)/N_0(t) on the
-    whole box, at |W/W_I| terms whatever dim V(lambda), exponents in simple-root
-    coordinates, 0**0 = 1.  A weight whose float sum cancels, kappa = sum|terms| /
-    |sum| with the rounding bound kappa |W/W_I| 2^-53 over ROW_TOL / 4, is summed exactly.
+    whole box, at |W/W_I| terms whatever dim V(lambda), 0**0 = 1.  Each weight's
+    terms form one int table: exponent rows in simple-root coordinates, signs
+    det(u) and coroot pairings.  The table is summed in binary64; a weight whose
+    float sum cancels, kappa = sum|terms| / |sum| with the rounding bound
+    kappa |W/W_I| 2^-53 over ROW_TOL / 4, has the same table summed in integers
+    and rounded once (_exact_sum).
     """
     import numpy as np
 
     t = [float(x) for x in t]
     ones = tuple(i for i, x in enumerate(t) if x == 1.0)
     zeros = [i for i, x in enumerate(t) if x == 0.0]
-    reps, images, lifts, dets, coroots, guard = _coset_pack(cartan, ones)
+    images, lifts, dets, coroots, guard = _coset_pack(cartan, ones)
     x = np.fromiter(itertools.chain.from_iterable(lams), np.int64).reshape(-1, cartan.rank)
     x += 1  # lam + rho
-    exps = (x @ lifts).reshape(len(lams), len(reps), cartan.rank)
+    exps = (x @ lifts).reshape(len(lams), len(dets), cartan.rank)
     # row-wise reductions, not matmuls: a weight's value does not depend on its batch
     terms = np.exp((exps * np.log([ti if ti else 1.0 for ti in t])).sum(axis=2))
     if zeros:
         terms[(exps[:, :, zeros] > 0).any(axis=2)] = 0.0
     if ones:
-        pairings = (x @ images).reshape(len(lams), len(reps), cartan.rank) @ np.array(coroots).T
+        pairings = (x @ images).reshape(len(lams), len(dets), cartan.rank) @ np.array(coroots).T
         terms *= np.prod(pairings.astype(float), axis=2)
     nums = (terms * dets).sum(axis=1)
     # terms are >= 0 before det(u) = +-1: guard sum(terms) / nums is the bound over ROW_TOL / 4
     for k, kept in enumerate((nums >= guard * terms.sum(axis=1)).tolist()):
         if not kept:
-            nums[k] = _exact_numerator(cartan, reps, coroots, lams[k], t)
+            rows = pairings[k].tolist() if ones else [()] * len(dets)
+            coefs = [int(d) * math.prod(r) for d, r in zip(dets.tolist(), rows)]
+            nums[k] = _exact_sum(coefs, exps[k].tolist(), t)
     return nums

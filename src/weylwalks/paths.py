@@ -205,12 +205,11 @@ def root_operator(cartan: CartanDatum, path: PLPath, i: int, direction: str = "f
 
 @dataclass(frozen=True)
 class CrystalB:
-    """The path crystal B(delta): f-closure of the straight dominant path."""
+    """The path crystal B(delta): f-closure of the straight dominant path, paths[0]."""
 
     delta: tuple
     paths: tuple
     edges: dict  # (source index, root index) -> target index
-    highest: int = 0
 
     def endpoints(self):
         return [p.endpoint() for p in self.paths]

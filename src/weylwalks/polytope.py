@@ -94,12 +94,6 @@ class AdmissibleSet:
     indices: tuple
     depths: dict
 
-    def __contains__(self, i):
-        return i in self.indices
-
-    def __len__(self):
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class DominantFace:

@@ -209,7 +209,6 @@ class CartanDatum:
         gram = [[self.cartan[i][j] / self.symmetrizer[j] for j in range(rank)]
                 for i in range(rank)]
         assert all(gram[i][j] == gram[j][i] for i in range(rank) for j in range(rank))
-        self._alpha_gram = gram
         # form on omega-coordinates: (v, u) = (Cv)^T G (Cu), C = omega->alpha
         c = self._omega_to_alpha
         gc = [[sum(gram[i][k] * c[k][j] for k in range(rank)) for j in range(rank)]
@@ -232,9 +231,9 @@ class CartanDatum:
         assert half_sum == self.rho
         self._enumerate_weyl_group()
         self.weyl_order = len(self.elements)
-        self.w0_word = self._descent_word_for_w0()
+        # reduced word of the longest element: s_{i_k} ... s_{i_1} takes -rho to rho
+        self.w0_word = tuple(reversed(self.descend((-1,) * rank)[1]))
         assert len(self.w0_word) == len(self.positive_roots)
-        self.w0 = self.element_of_word(self.w0_word)
 
     # -- basic linear algebra on weights --------------------------------
 
@@ -281,6 +280,18 @@ class CartanDatum:
     def is_dominant(self, v: Weight) -> bool:
         return all(x >= 0 for x in v)
 
+    def descend(self, v: Weight, walls=None):
+        """(y, applied): y reached from v by reflecting at the first of `walls`
+        (all simple roots by default) where the coordinate is negative, until
+        none is, so y is dominant for those walls; applied lists the reflections
+        in order, so s_{applied[-1]} ... s_{applied[0]} takes v to y."""
+        walls = range(self.rank) if walls is None else tuple(walls)
+        applied = []
+        while (i := next((k for k in walls if v[k] < 0), None)) is not None:
+            v = self.reflect(v, i)
+            applied.append(i)
+        return v, applied
+
     # -- construction helpers -------------------------------------------
 
     def _generate_positive_roots(self):
@@ -300,13 +311,11 @@ class CartanDatum:
         return tuple(sorted(pos))
 
     def _enumerate_weyl_group(self):
-        # s_i = 1 - alpha_i e_i^T, so w s_i and s_i w^-1 are rank-one updates of w
-        # and w^-1: no matrix products
+        # s_i = 1 - alpha_i e_i^T, so w s_i is a rank-one update of w: no matrix products
         rank = self.rank
         positive = set(self.positive_roots)
         ident = WeylElement(_identity_matrix(rank), ())
         elements = [ident]
-        inv_mats = [ident.matrix]
         index = {ident.matrix: 0}
         frontier = [0]
         while frontier:
@@ -329,29 +338,12 @@ class CartanDatum:
                             f"order cap {WEYL_ORDER_CAP}"
                         )
                     elements.append(WeylElement(mat, w.word + (i,)))
-                    # (w s_i)^{-1} = s_i w^{-1}: row k loses alpha_i[k] times row i
-                    inv = inv_mats[idx]
-                    inv_mats.append(tuple(
-                        tuple(x - a * y for x, y in zip(row, inv[i])) if a else row
-                        for row, a in zip(inv, self.alpha[i])))
                     index[mat] = len(elements) - 1
                     nxt.append(len(elements) - 1)
             frontier = nxt
         self.elements = tuple(elements)
         self._index = index
-        self._inverse_index = tuple(index[m] for m in inv_mats)
         self.identity = ident
-
-    def _descent_word_for_w0(self):
-        """Reduced word for the longest element, least descent of -rho first."""
-        x = wscale(-1, self.rho)
-        applied = []
-        while not self.is_dominant(x):
-            i = next(k for k in range(self.rank) if x[k] < 0)
-            x = self.reflect(x, i)
-            applied.append(i)
-        # product s_{i_k} ... s_{i_1} applied to -rho gives rho
-        return tuple(reversed(applied))
 
     # -- group queries ----------------------------------------------------
 
@@ -364,36 +356,11 @@ class CartanDatum:
             mat = _mat_mul(mat, self._simple_reflections[i])
         return self.element_of_matrix(mat)
 
-    def simple_reflection(self, i: int) -> WeylElement:
-        return self.element_of_matrix(self._simple_reflections[i])
-
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return self.element_of_matrix(_mat_mul(a.matrix, b.matrix))
 
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self.elements[self._inverse_index[self._index[w.matrix]]]
-
     def det(self, w: WeylElement) -> int:
         return -1 if w.length % 2 else 1
-
-    def parabolic_subgroup(self, indices) -> tuple:
-        """All elements of the subgroup generated by {s_i : i in indices}."""
-        gens = [self.simple_reflection(i) for i in indices]
-        seen = {self.identity.matrix}
-        out = [self.identity]
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    m = _mat_mul(g.matrix, w.matrix)
-                    if m not in seen:
-                        seen.add(m)
-                        el = self.element_of_matrix(m)
-                        out.append(el)
-                        nxt.append(el)
-            frontier = nxt
-        return tuple(out)
 
     def orbit(self, v: Weight, indices=None) -> tuple:
         """Orbit of v under the parabolic subgroup W_{indices} (full W if None)."""
@@ -466,29 +433,18 @@ def dominant_representative(cartan: CartanDatum, x: Weight):
     """Return (y, w) with y dominant, w(x) = y and w minimal in its right coset.
 
     Minimality: l(s w) > l(w) for every simple reflection s fixing y, which
-    pins the unique shortest representative of the coset W_{S_y} w.
+    pins the unique shortest representative of the coset W_{S_y} w.  The
+    descent's word gives it: each reflection at a negative coordinate removes
+    one positive root from those pairing negatively with x, and every v with
+    v(x) = y sends all of those to negative roots.
     """
-    x = weight(x)
-    y = x
-    applied = []
-    while not cartan.is_dominant(y):
-        i = next(k for k in range(cartan.rank) if y[k] < 0)
-        y = cartan.reflect(y, i)
-        applied.append(i)
-    w = cartan.element_of_word(tuple(reversed(applied)))
-    s_y = [i for i in range(cartan.rank) if y[i] == 0]
-    return y, minimal_coset_rep(cartan, w, s_y)
+    y, applied = cartan.descend(weight(x))
+    return y, cartan.element_of_word(reversed(applied))
 
 
 def minimal_coset_rep(cartan: CartanDatum, w: WeylElement, indices) -> WeylElement:
-    """Minimal-length representative of the right coset W_{indices} w."""
-    indices = sorted(set(indices))
-    changed = True
-    while changed:
-        changed = False
-        for i in indices:
-            sw = cartan.multiply(cartan.simple_reflection(i), w)
-            if sw.length < w.length:
-                w = sw
-                changed = True
-    return w
+    """Minimal-length representative u of the right coset W_{indices} w: the one
+    with <u(rho), alpha_i^vee> > 0 for i in indices, so u = v w with v the
+    reflections that the descent of w(rho) at those walls applies."""
+    _, applied = cartan.descend(cartan.apply(w, cartan.rho), indices)
+    return cartan.multiply(cartan.element_of_word(reversed(applied)), w)

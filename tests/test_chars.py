@@ -34,7 +34,7 @@ from weylwalks.chars import (
 from weylwalks import chars
 from weylwalks.paths import crystal
 from weylwalks.polytope import admissible_subsets
-from weylwalks.rootdata import _CLASSICAL
+from weylwalks.rootdata import _CLASSICAL, wsub
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
@@ -59,13 +59,13 @@ def test_a2_adjoint_multiset():
     roots = set(A2.positive_roots) | {weight([-x for x in r]) for r in A2.positive_roots}
     for r in roots:
         assert ms.entries[r] == 1
-    assert ms.total_mass() == 8
+    assert sum(ms.entries.values()) == 8
 
 
 def test_g2_seven_dimensional():
     d = g2_seven_dim()
     ms = weight_multiplicities(G2, d)
-    assert ms.total_mass() == 7
+    assert sum(ms.entries.values()) == 7
     assert set(ms.entries.values()) == {1}
     assert len(ms.entries) == 7
 
@@ -111,7 +111,7 @@ def test_weyl_dim_examples():
     (A2, (2, 0)), (A2, (1, 2)), (B2, (1, 1)), (B2, (2, 0)), (G2, (1, 0)), (G2, (0, 1)),
 ])
 def test_total_mass_is_dimension(cartan, lam):
-    assert weight_multiplicities(cartan, lam).total_mass() == weyl_dim(cartan, lam)
+    assert sum(weight_multiplicities(cartan, lam).entries.values()) == weyl_dim(cartan, lam)
 
 
 @pytest.mark.parametrize("cartan", [A1, A2, B2])
@@ -341,7 +341,7 @@ def test_character_json_export():
 
 
 def test_minor_report_rows():
-    samples = [([1.0], A1.identity, 2), ([0.5], A1.simple_reflection(0), 2)]
+    samples = [([1.0], A1.identity, 2), ([0.5], A1.element_of_word((0,)), 2)]
     assert [w.word for _, w, _ in samples] == [(), (0,)]
     for t, w, kmax in samples:
         assert total_positivity_min_minor(A1, weight((1,)), t, w, kmax) >= -1e-9
@@ -395,9 +395,50 @@ def test_weyl_numerator_empty_batch():
 def test_weyl_numerator_float_sum_is_exact_on_faces(monkeypatch):
     # at moderate t the float sum alone is right on faces and at t_i = 1: no
     # weight needs the exact re-summation
-    monkeypatch.setattr(chars, "_exact_numerator", None)
+    monkeypatch.setattr(chars, "_exact_sum", None)
     for cartan, lam in [(A2, (2, 1)), (B2, (1, 1)), (G2, (1, 0)), (A3, (1, 0, 1))]:
         for t in itertools.product((0.0, 0.4, 1.0), repeat=cartan.rank):
             num, den = weyl_numerator_batch(cartan, [lam, (0,) * cartan.rank], t)
             assert num / den == pytest.approx(evaluate_S(cartan, lam, lam, t), rel=1e-13)
 
+
+def _coset_sum_reference(cartan, lam, t):
+    """N_lambda(t) term by term over the minimal coset representatives u of
+    W_I\\W, I = {i : t_i = 1}, in integers over prod q_i^M_i, rounded once.  u is
+    minimal iff u^-1(alpha_i) > 0 for i in I, i.e. iff <u(rho), alpha_i^vee> > 0."""
+    ones = [i for i, x in enumerate(t) if x == 1.0]
+    reps = [u for u in cartan.elements if all(cartan.apply(u, cartan.rho)[i] > 0 for i in ones)]
+    units = [tuple(int(i == j) for j in range(cartan.rank)) for i in range(cartan.rank)]
+    coroots = [[int(2 * cartan.pairing(e, a) / cartan.pairing(a, a)) for e in units]
+               for a in cartan.positive_roots
+               if all(c == 0 for k, c in enumerate(cartan.alpha_coords(a)) if k not in ones)]
+    mu = tuple(c + 1 for c in lam)
+    terms = []
+    for u in reps:
+        image = cartan.apply(u, mu)
+        coef = cartan.det(u) * math.prod(sum(c * x for c, x in zip(row, image))
+                                         for row in coroots)
+        terms.append((coef, cartan.int_alpha_coords(wsub(mu, image))))
+    ratios = [x.as_integer_ratio() for x in t]
+    top = [max(e[i] for _, e in terms) for i in range(cartan.rank)]
+    total = sum(coef * math.prod(p**k * q**(m - k) for (p, q), k, m in zip(ratios, e, top))
+                for coef, e in terms)
+    return total / math.prod(q**m for (_, q), m in zip(ratios, top))
+
+
+@pytest.mark.parametrize("family,lam", [("B", (1, 0, 0, 0)), ("C", (1, 0, 0, 0)),
+                                        ("D", (1, 0, 0, 0)), ("F", (0, 0, 0, 1))])
+def test_rank_four_exact_numerator_is_the_coset_sum(monkeypatch, family, lam):
+    # near t = 1 the float sum cancels: the exact path runs, and its value has
+    # the bits of the per-representative integer sum
+    cartan = build_root_system(family, 4)
+    exact_sum, calls = chars._exact_sum, []
+    monkeypatch.setattr(chars, "_exact_sum", lambda *a: calls.append(a) or exact_sum(*a))
+    near = 1 - 1e-9
+    for t in [(near,) * 4, (1 - 1e-7, near, 1 - 1e-8, near),  # interior
+              (1.0, near, 1.0, near), (0.0, near, near, 1.0)]:  # t_i = 1, face
+        for mu in (lam, (0,) * 4):
+            before = len(calls)
+            (num,) = weyl_numerator_batch(cartan, [mu], t)
+            assert len(calls) == before + 1, (t, mu)
+            assert num == _coset_sum_reference(cartan, mu, t), (t, mu)

@@ -1,6 +1,7 @@
 """Root data: classical tables, form invariance, coset representatives."""
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,7 +122,7 @@ def test_inverse():
     for tok in ["A2", "B2", "G2"]:
         c = cartan_type(tok)
         for w in c.elements:
-            assert c.multiply(w, c.inverse(w)) == c.identity
+            assert c.multiply(w, c.element_of_word(reversed(w.word))) == c.identity
 
 
 def test_dominant_representative_trivial():
@@ -135,20 +136,20 @@ def test_dominant_representative_a1():
     c = build_root_system("A", 1)
     y, w = dominant_representative(c, weight([-1]))
     assert y == weight([1])
-    assert w == c.simple_reflection(0)
+    assert w == c.element_of_word((0,))
 
 
 def test_dominant_representative_minimality_brute_force():
     # A2: x = s1 s2 (rho); check the returned w against all 6 elements
     c = build_root_system("A", 2)
-    s1, s2 = c.simple_reflection(0), c.simple_reflection(1)
+    s1, s2 = c.element_of_word((0,)), c.element_of_word((1,))
     x = c.apply(c.multiply(s1, s2), c.rho)
     y, w = dominant_representative(c, x)
     assert y == c.rho
     assert c.apply(w, x) == y
     fiber = [v for v in c.elements if c.apply(v, x) == y]
     assert w.length == min(v.length for v in fiber)
-    assert w == c.inverse(c.multiply(s1, s2))
+    assert w == c.element_of_word((1, 0))  # (s1 s2)^-1
 
 
 def test_dominant_representative_idempotent():
@@ -168,7 +169,7 @@ def test_fiber_is_stabilizer_coset(tok):
     for x in samples:
         y, w = dominant_representative(c, x)
         s_y = [i for i in range(c.rank) if y[i] == 0]
-        coset = {c.multiply(v, w) for v in c.parabolic_subgroup(s_y)}
+        coset = {c.multiply(v, w) for v in c.elements if set(v.word) <= set(s_y)}
         fiber = {v for v in c.elements if c.apply(v, x) == y}
         assert coset == fiber
         # minimality within the coset
@@ -177,21 +178,22 @@ def test_fiber_is_stabilizer_coset(tok):
 
 def test_minimal_coset_rep_examples():
     c = build_root_system("A", 2)
-    s1, s2 = c.simple_reflection(0), c.simple_reflection(1)
+    s1, s2 = c.element_of_word((0,)), c.element_of_word((1,))
     assert minimal_coset_rep(c, c.identity, [0, 1]) == c.identity
     assert minimal_coset_rep(c, s1, [0]) == c.identity
     assert minimal_coset_rep(c, c.multiply(s1, s2), [0]) == s2
 
 
 def test_minimal_coset_rep_postconditions():
-    c = build_root_system("B", 2)
-    for w in c.elements:
-        for sub in [(), (0,), (1,), (0, 1)]:
-            r = minimal_coset_rep(c, w, sub)
-            group = c.parabolic_subgroup(sub)
-            assert any(c.multiply(v, r) == w for v in group)
-            for i in sub:
-                assert c.multiply(c.simple_reflection(i), r).length > r.length
+    for c in map(cartan_type, ["B2", "G2", "C3"]):
+        subsets = [s for r in range(c.rank + 1) for s in itertools.combinations(range(c.rank), r)]
+        for w in c.elements:
+            for sub in subsets:
+                r = minimal_coset_rep(c, w, sub)
+                group = [v for v in c.elements if set(v.word) <= set(sub)]
+                assert any(c.multiply(v, r) == w for v in group)
+                for i in sub:
+                    assert c.multiply(c.element_of_word((i,)), r).length > r.length
 
 
 def test_json_roundtrip():
@@ -217,7 +219,7 @@ def test_dominant_representative_properties(tok, coords):
     assert c.apply(w, x) == y
     for i in range(c.rank):
         if y[i] == 0:
-            assert c.multiply(c.simple_reflection(i), w).length > w.length
+            assert c.multiply(c.element_of_word((i,)), w).length > w.length
 
 
 def _reference_enumeration(c):
@@ -249,7 +251,10 @@ def test_weyl_enumeration_matches_matrix_products(token):
     c = cartan_type(token)
     elements, inverse_index = _reference_enumeration(c)
     assert [(w.matrix, w.word) for w in c.elements] == elements
-    assert c._inverse_index == inverse_index
+    assert c._index == {mat: k for k, (mat, _) in enumerate(elements)}
+    # w^-1 read from the reversed word
+    assert tuple(c._index[c.element_of_word(reversed(w.word)).matrix]
+                 for w in c.elements) == inverse_index
     # w0_word is a reduced word of the reference's longest element, its last one
     w0, w0_word = elements[-1]
     product = functools.reduce(_mat_mul, (c._simple_reflections[i] for i in c.w0_word))
