@@ -81,7 +81,7 @@ class BoundaryPoint:
         order: S_delta(t) psi(t,w)(e^gamma, 1), the free step law's monomials.
         The exponent alpha(delta - w gamma) is the table's row of w gamma."""
         weights, exps, _ = chars._module_table(self.cartan, self.delta)
-        rows = dict(zip(weights, exps.tolist()))
+        rows = dict(zip(weights, exps))
         return {g: chars.monomial(self.t, rows[self.cartan.apply(self.w, g)])
                 for g in weights}
 
@@ -190,9 +190,8 @@ def _face_newton(cartan, delta, support, target):
     if not support:
         return {}
     _, exps, mults = polytope.face_rows(cartan, delta, support)
-    # C order: the column pick alone gives an F-ordered matrix, and BLAS sums it in another order
-    e_mat = exps[:, list(support)].astype(float, order="C")
-    logm = np.log(mults)
+    e_mat = np.array([[row[j] for j in support] for row in exps], dtype=float)
+    logm = np.log(np.array(mults, dtype=float))
     g_target = np.array([float(target[j]) for j in support])
     if np.any(g_target <= 0):
         raise NoConvergence(
@@ -402,7 +401,7 @@ class CentralMeasure:
         s_delta = self.point.s_delta
         # the weights gamma of V(delta) are distinct, and so are the targets
         monomials = self.point.monomials.items()
-        return {wadd(start, g): q for k, (g, mono) in zip(mults.tolist(), monomials)
+        return {wadd(start, g): q for k, (g, mono) in zip(mults, monomials)
                 if (q := k * mono / s_delta)}
 
     def to_jsonable(self) -> dict:
@@ -436,12 +435,17 @@ def harmonicity_residual(measure: CentralMeasure, n_max: int) -> float:
 
 
 def s_hat_t(cartan: CartanDatum, delta, t) -> float:
-    """s_delta evaluated at t: S_delta(t) / t^delta, +inf when some t_i = 0."""
+    """s_delta evaluated at t: S_delta(t) / t^delta, +inf when some t_i = 0 or
+    t^delta underflows to 0 (S_delta >= 1, so the value is beyond the float
+    range).  ValueError when t has the wrong length."""
     t = tuple(float(x) for x in t)
+    if len(t) != cartan.rank:
+        raise ValueError(f"t = {t} has wrong rank")
     if any(x == 0.0 for x in t):
         return math.inf
     s = chars.evaluate_S(cartan, delta, delta, t)
-    return s / chars.monomial(t, cartan.alpha_coords(delta))
+    t_delta = chars.monomial(t, cartan.alpha_coords(delta))
+    return s / t_delta if t_delta else math.inf
 
 
 def s_hat(cartan: CartanDatum, delta, m) -> float:

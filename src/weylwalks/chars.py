@@ -2,16 +2,17 @@
 evaluation of the shifted characters S_{lambda,mu}, tensor and exterior-power
 decompositions, and the Toeplitz-minor total-positivity check.
 
-The combinatorial layer (multiplicities, decompositions) is exact integer
-arithmetic; evaluations at a parameter vector t in [0,1]^d are binary64 with
-the convention 0**0 = 1, so boundary parameters are safe.  Weyl numerators
-(weyl_numerator_batch) read one int table of terms per weight, an alternating
-sum over the coset representatives of W_I\\W: exponent rows, signs and coroot
-pairings.  The table is summed in binary64, or, when that sum cancels, in
-integers and rounded once.  numpy is imported inside the float evaluators
-only (_module_table, evaluate_S, the Toeplitz minors, _coset_pack,
-weyl_numerator_batch), so the exact layers and the CLI subcommands built on
-them start without it.
+The combinatorial layer (multiplicities, decompositions, the one table of a
+module, _module_table) is exact integer arithmetic; evaluations at a parameter
+vector t in [0,1]^d are binary64 with the convention 0**0 = 1, so boundary
+parameters are safe.  Weyl numerators (weyl_numerator_batch) read one int
+table of terms per weight, an alternating sum over the coset representatives
+of W_I\\W: exponent rows, signs and coroot pairings.  The table is summed in
+binary64, or, when that sum cancels, in integers and rounded once.  numpy is
+imported inside the float evaluators only (evaluate_S, the Toeplitz minors,
+_coset_pack, weyl_numerator_batch), which build their arrays from the int
+tables, so the exact layers and the CLI subcommands built on them start
+without it.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DimensionCap, InvalidWeight, OrderViolation, format_weight
-from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, wadd, wsub
-
-DEFAULT_DIM_CAP = 10**6
+from .errors import DEFAULT_DIM_CAP, DimensionCap, InvalidWeight, OrderViolation, format_weight
+from .rootdata import CartanDatum, WeylElement, check_rank, int_weight, minimal_coset_rep, \
+    wadd, wsub
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,6 @@ class WeightMultiset:
 
     top: tuple
     entries: dict
-
-
-def check_rank(cartan, lam):
-    """InvalidWeight unless lam has one coordinate per simple root."""
-    if len(lam) != cartan.rank:
-        raise InvalidWeight(f"weight {format_weight(lam)} has wrong rank")
 
 
 def check_weight(cartan, lam, dim_cap=None):
@@ -140,16 +134,24 @@ def _weight_multiplicities(cartan, lam):
 def _module_table(cartan, lam):
     """The one table of V(lambda), lambda an int tuple: (weights, exponents,
     multiplicities), one row per weight gamma in sorted order, gamma an int
-    tuple, its exponent alpha(lambda - gamma) an int row and its multiplicity a
-    float.  S_{lambda,mu} adds alpha(mu - lambda) to every exponent row.  No
+    tuple, its exponent alpha(lambda - gamma) an int tuple and its multiplicity
+    an int.  S_{lambda,mu} adds alpha(mu - lambda) to every exponent row.  No
     dimension-cap check: callers pass lambda through check_weight with the cap."""
-    import numpy as np
-
     rows = sorted(_weight_multiplicities(cartan, lam).entries.items())
     weights = tuple(gamma for gamma, _ in rows)
-    exps = [cartan.int_alpha_coords(wsub(lam, gamma)) for gamma in weights]
+    exps = tuple(cartan.int_alpha_coords(wsub(lam, gamma)) for gamma in weights)
     assert all(k is not None and min(k) >= 0 for k in exps)
-    return weights, np.array(exps, dtype=np.int64), np.array([m for _, m in rows], dtype=float)
+    return weights, exps, tuple(m for _, m in rows)
+
+
+@lru_cache(maxsize=None)
+def _table_arrays(cartan, lam):
+    """evaluate_S's arrays of _module_table(cartan, lam): int64 exponent rows
+    and float multiplicities."""
+    import numpy as np
+
+    _, exps, mults = _module_table(cartan, lam)
+    return np.array(exps, dtype=np.int64), np.array(mults, dtype=float)
 
 
 def monomial(t, exponents) -> float:
@@ -185,7 +187,7 @@ def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
 
     top = check_weight(cartan, lam, DEFAULT_DIM_CAP)
     shift = order_exponent(cartan, top, mu)
-    _, exps, mults = _module_table(cartan, top)
+    exps, mults = _table_arrays(cartan, top)
     tv = np.asarray([float(x) for x in t], dtype=float)
     return float(np.dot(mults, np.prod(tv ** (exps + shift), axis=1)))
 

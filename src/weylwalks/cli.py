@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .errors import WeylWalksError
+from .errors import DEFAULT_DIM_CAP, DEFAULT_LEVEL_CAP, WeylWalksError
 from .rootdata import cartan_type
-# acceptance, boundary and montecarlo (and numpy with them) are imported by the
-# branches that use them, so the exact subcommands start without numpy
-from . import chars, paths, polytope
+# the layers (and numpy with the float ones) are imported by the branches that
+# use them, so `root info` loads rootdata alone and the exact subcommands start
+# without numpy
 
 ENV_DIM_CAP = "WEYLWALKS_DIM_CAP"
 ENV_LEVEL_CAP = "WEYLWALKS_LEVEL_CAP"
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     cry = top.add_parser("crystal", help="the path crystal B(delta)")
     cry_sub = cry.add_subparsers(dest="verb", required=True)
     _add_common(cry_sub.add_parser("build")).add_argument(
-        "--dim-cap", type=int, default=_env_int(ENV_DIM_CAP, chars.DEFAULT_DIM_CAP))
+        "--dim-cap", type=int, default=_env_int(ENV_DIM_CAP, DEFAULT_DIM_CAP))
 
     gr = top.add_parser("graph", help="growth graphs")
     gr_sub = gr.add_subparsers(dest="verb", required=True)
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", choices=("free", "chamber"), required=True)
     g.add_argument("--nmax", type=int, required=True)
     g.add_argument("--level-cap", type=int,
-                   default=_env_int(ENV_LEVEL_CAP, paths.DEFAULT_LEVEL_CAP))
+                   default=_env_int(ENV_LEVEL_CAP, DEFAULT_LEVEL_CAP))
 
     poly = top.add_parser("polytope", help="the weight polytope K(delta)")
     poly_sub = poly.add_subparsers(dest="verb", required=True)
@@ -225,14 +225,18 @@ def run(config: RunConfig) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     cartan = cartan_type(f"{config.family}{config.rank}")
-    delta = chars.check_weight(cartan, config.delta) if config.delta else None
-    p = config.params
-
     if config.command == "root-info":
         print(cartan.to_json())
         return 0
 
+    from . import chars
+
+    delta = chars.check_weight(cartan, config.delta)
+    p = config.params
+
     if config.command == "crystal-build":
+        from . import paths
+
         cb = paths.generate_crystal(cartan, delta, dim_cap=p["dim_cap"])
         doc = {
             "size": len(cb.paths),
@@ -243,12 +247,16 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "graph-build":
+        from . import paths
+
         g = paths.build_growth_graph(cartan, p["kind"], delta, p["nmax"],
                                      level_cap=p["level_cap"])
         print(_emit({"kind": g.kind, "levels": paths.graph_levels_jsonable(g)}))
         return 0
 
     if config.command == "polytope-faces":
+        from . import polytope
+
         faces = polytope.dominant_faces(cartan, delta)
         print(_emit(polytope.face_lattice_jsonable(faces)))
         return 0

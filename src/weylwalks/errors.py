@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default caps behind
+DimensionCap and LevelCap."""
+
+DEFAULT_DIM_CAP = 10**6  # largest dim V(lambda) built by default
+DEFAULT_LEVEL_CAP = 200000  # most vertices on one growth-graph level, by default
 
 
 def format_weight(v) -> str:

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import LevelCap, NotAdmissible
+from .errors import DEFAULT_LEVEL_CAP, LevelCap, NotAdmissible
 from .rootdata import CartanDatum, int_weight, weight, wadd, wscale, wzero
 from . import chars
-
-DEFAULT_LEVEL_CAP = 200000
 
 
 @dataclass(frozen=True)

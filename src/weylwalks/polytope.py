@@ -196,9 +196,10 @@ def face_rows(cartan: CartanDatum, delta, support) -> tuple:
     table of V(delta) (chars._module_table) whose exponent alpha(delta - gamma)
     is zero off `support`, an index tuple; their weights are Pi_delta
     intersected with delta + span(support).  delta is a checked int tuple."""
-    weights, exps, mults = chars._module_table(cartan, delta)
-    on = ~exps[:, [k for k in range(cartan.rank) if k not in support]].any(axis=1)
-    return tuple(g for g, keep in zip(weights, on.tolist()) if keep), exps[on], mults[on]
+    off = [k for k in range(cartan.rank) if k not in support]
+    rows = [(g, e, m) for g, e, m in zip(*chars._module_table(cartan, delta))
+            if not any(e[k] for k in off)]
+    return tuple(zip(*rows))  # never empty: the row of delta has exponent 0
 
 
 def dominant_faces(cartan: CartanDatum, delta) -> list:

@@ -4,9 +4,10 @@ Weights are tuples in the fundamental-weight basis, so the pairing with the
 i-th simple coroot is just coordinate i.  Integral weights (roots, rho, the
 weights of a module, lattice points of a walk) are tuples of ints; Fractions
 are kept for rational points (path breakpoints, drifts, polytope location).
-Weyl-group elements act by integer matrices on these coordinates and the
-whole group is enumerated once (desk scale: rank <= 4, |W| <= 2000), which
-makes length, coset and orbit queries trivial and exactly testable.
+Weyl-group elements act by integer matrices on these coordinates.  |W| comes
+from the heights of the positive roots, and the whole group is enumerated on
+first use (desk scale: rank <= 4, |W| <= 2000), which makes length, coset and
+orbit queries trivial and exactly testable.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
-from .errors import UnsupportedType
+from .errors import InvalidWeight, UnsupportedType, format_weight
 
 #: A weight: tuple of ints or Fractions, fundamental-weight (omega) coordinates.
 Weight = tuple
@@ -59,6 +60,12 @@ def int_weight(coords):
             x = x.numerator
         out.append(x)
     return tuple(out)
+
+
+def check_rank(cartan, lam):
+    """InvalidWeight unless lam has one coordinate per simple root."""
+    if len(lam) != cartan.rank:
+        raise InvalidWeight(f"weight {format_weight(lam)} has wrong rank")
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
@@ -183,10 +190,13 @@ def _invert_rational_matrix(m):
 
 
 class CartanDatum:
-    """Root datum of a simple Lie algebra with its Weyl group fully enumerated.
+    """Root datum of a simple Lie algebra and its Weyl group.
 
-    Immutable after construction; hashing is by identity, and
-    :func:`build_root_system` caches one instance per (family, rank).
+    weyl_order is prod (ht alpha + 1) / ht alpha over the positive roots
+    (Kostant's height partition; Humphreys, Reflection Groups and Coxeter
+    Groups, ch. 3); the elements are enumerated on first use.  Immutable once
+    built; hashing is by identity, and :func:`build_root_system` caches one
+    instance per (family, rank).
     """
 
     def __init__(self, family: str, rank: int):
@@ -229,8 +239,13 @@ class CartanDatum:
         self.rho = (1,) * rank
         half_sum = wscale(Fraction(1, 2), reduce(wadd, self.positive_roots))
         assert half_sum == self.rho
-        self._enumerate_weyl_group()
-        self.weyl_order = len(self.elements)
+        heights = [sum(self.int_alpha_coords(a)) for a in self.positive_roots]
+        self.weyl_order, rem = divmod(math.prod(h + 1 for h in heights), math.prod(heights))
+        assert rem == 0
+        if self.weyl_order > WEYL_ORDER_CAP:
+            raise UnsupportedType(f"Weyl group of {family}{rank} exceeds the "
+                                  f"order cap {WEYL_ORDER_CAP}")
+        self.identity = WeylElement(_identity_matrix(rank), ())
         # reduced word of the longest element: s_{i_k} ... s_{i_1} takes -rho to rho
         self.w0_word = tuple(reversed(self.descend((-1,) * rank)[1]))
         assert len(self.w0_word) == len(self.positive_roots)
@@ -310,19 +325,17 @@ class CartanDatum:
         assert 2 * len(pos) == len(roots)
         return tuple(sorted(pos))
 
-    def _enumerate_weyl_group(self):
+    @cached_property
+    def elements(self) -> tuple:
+        """W by increasing length, each element with its canonical reduced word."""
         # s_i = 1 - alpha_i e_i^T, so w s_i is a rank-one update of w: no matrix products
-        rank = self.rank
         positive = set(self.positive_roots)
-        ident = WeylElement(_identity_matrix(rank), ())
-        elements = [ident]
-        index = {ident.matrix: 0}
-        frontier = [0]
+        elements, frontier = [self.identity], [self.identity]
+        seen = {self.identity.matrix}
         while frontier:
             nxt = []
-            for idx in frontier:
-                w = elements[idx]
-                for i in range(rank):
+            for w in frontier:
+                for i in range(self.rank):
                     # l(w s_i) > l(w)  iff  w(alpha_i) is a positive root
                     img = _mat_apply(w.matrix, self.alpha[i])
                     if img not in positive:
@@ -330,20 +343,17 @@ class CartanDatum:
                     # w s_i: column i becomes w[:, i] - w(alpha_i)
                     mat = tuple(row[:i] + (row[i] - x,) + row[i + 1:]
                                 for row, x in zip(w.matrix, img))
-                    if mat in index:
-                        continue
-                    if len(elements) >= WEYL_ORDER_CAP:
-                        raise UnsupportedType(
-                            f"Weyl group of {self.family}{rank} exceeds the "
-                            f"order cap {WEYL_ORDER_CAP}"
-                        )
-                    elements.append(WeylElement(mat, w.word + (i,)))
-                    index[mat] = len(elements) - 1
-                    nxt.append(len(elements) - 1)
+                    if mat not in seen:
+                        seen.add(mat)
+                        nxt.append(WeylElement(mat, w.word + (i,)))
+            elements.extend(nxt)
             frontier = nxt
-        self.elements = tuple(elements)
-        self._index = index
-        self.identity = ident
+        assert len(elements) == self.weyl_order
+        return tuple(elements)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {w.matrix: k for k, w in enumerate(self.elements)}
 
     # -- group queries ----------------------------------------------------
 
@@ -438,6 +448,7 @@ def dominant_representative(cartan: CartanDatum, x: Weight):
     one positive root from those pairing negatively with x, and every v with
     v(x) = y sends all of those to negative roots.
     """
+    check_rank(cartan, x)
     y, applied = cartan.descend(weight(x))
     return y, cartan.element_of_word(reversed(applied))
 

@@ -310,7 +310,7 @@ def test_log_partition_hessian_psd():
     rng = np.random.default_rng(8)
     for cartan, delta in [(A2, weight((1, 0))), (G2, G2_SEVEN)]:
         _, exps, mults = _module_table(cartan, int_weight(delta))
-        exps = exps.astype(float)
+        exps, mults = np.array(exps, dtype=float), np.array(mults, dtype=float)
         for _ in range(10):
             u = -3.0 * rng.random(cartan.rank)
             z = exps @ u + np.log(mults)
@@ -402,6 +402,27 @@ def test_laws_refuse_weights_of_the_wrong_rank(kind):
         for law in (partial_p(meas, 1), meas.kernel_row):
             with pytest.raises(InvalidWeight, match="has wrong rank"):
                 law(lam)
+
+
+@pytest.mark.parametrize("m", [(0.1,), (0.1, 0.0, 0.0), (Fraction(1, 10),) * 3])
+def test_drift_entry_points_refuse_m_of_the_wrong_rank(m):
+    from weylwalks import dominant_representative, locate, pitman_equality_in_law
+
+    for call in (lambda: invert_drift(A2, (1, 0), m),
+                 lambda: central_measure(A2, (1, 0), "free", m),
+                 lambda: central_measure(A2, (1, 0), "chamber", m),
+                 lambda: s_hat(A2, (1, 0), m),
+                 lambda: pitman_equality_in_law(A2, (1, 0), m, 2),
+                 lambda: locate(A2, (1, 0), m),
+                 lambda: dominant_representative(A2, m)):
+        with pytest.raises(InvalidWeight, match="has wrong rank"):
+            call()
+
+
+def test_s_hat_t_refuses_t_of_the_wrong_length():
+    for t in [(0.5,), (0.5, 0.5, 0.5), ()]:
+        with pytest.raises(ValueError, match="wrong rank"):
+            s_hat_t(A2, (1, 0), t)
 
 
 @pytest.mark.parametrize("kind", ["free", "chamber"])
@@ -545,6 +566,17 @@ def test_c_harmonic_level_refuses_unreachable_c(c):
     with pytest.raises(ValueError):
         c_harmonic_level(A2, (1, 0), c).sample_points(1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_c_harmonic_level_samples_where_t_delta_underflows():
+    # t^delta = t1^30 t2^30 is 0.0 in binary64 at the rays' ends (t_j = 1e-12), where
+    # s_hat = S_delta / t^delta >= 1 / t^delta lies beyond the float range
+    assert s_hat_t(A2, (30, 30), (1e-12, 0.5)) == math.inf
+    z = weyl_dim(A2, (30, 30))
+    points = c_harmonic_level(A2, (30, 30), 2.0).sample_points(2)
+    assert len(points) == 2
+    for pt in points:
+        assert s_hat_t(A2, (30, 30), pt.t) == pytest.approx(2.0 * z, rel=1e-9)
 
 
 def test_harmonic_function_check_examples():

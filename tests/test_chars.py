@@ -186,6 +186,19 @@ def test_evaluate_S_matches_fraction_table_reference(cartan, lams):
                 assert evaluate_S(cartan, lam, mu, t) == _fraction_table_S(cartan, lam, mu, t)
 
 
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 2, (1, 1)), ("B", 2, (1, 0)), ("G", 2, (1, 0)), ("B", 3, (0, 0, 1)),
+    ("D", 4, (1, 0, 0, 0)), ("F", 4, (0, 0, 0, 1))])
+def test_module_table_is_an_int_table(family, rank, lam):
+    cartan = build_root_system(family, rank)
+    weights, exps, mults = chars._module_table(cartan, lam)
+    rows = sorted(weight_multiplicities(cartan, lam).entries.items())
+    assert weights == tuple(gamma for gamma, _ in rows)
+    assert exps == tuple(cartan.int_alpha_coords(wsub(lam, gamma)) for gamma, _ in rows)
+    assert mults == tuple(m for _, m in rows)
+    assert all(type(x) is int for row in weights + exps + (mults,) for x in row)
+
+
 def test_invalid_weights_raise_readable_invalid_weight():
     for lam in [(-1, 1), (Fraction(1, 2), 0), (1, 0, 0)]:
         with pytest.raises(InvalidWeight) as exc:

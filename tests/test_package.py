@@ -73,8 +73,29 @@ print(code, "numpy" in sys.modules, file=sys.stderr)
      False),
     (["sample", "--type", "A1", "--delta", "1", "--mode", "free", "--m", "0.2",
       "--steps", "3", "--seed", "1"], True),
+    (["polytope", "faces", "--type", "A3", "--delta", "1,0,1"], False),
 ])
 def test_exact_subcommands_start_without_numpy(argv, loads_numpy):
     proc = _python(COLD_CLI, *argv)
     assert proc.stderr.splitlines()[-1] == f"0 {loads_numpy}", proc.stderr
     assert proc.stdout
+
+
+ROOT_INFO = """
+import sys
+from weylwalks.cli import main
+from weylwalks.rootdata import cartan_type
+assert main(["root", "info", "--type", "F4"]) == 0
+print("elements" in vars(cartan_type("F4")),
+      *sorted(m for m in sys.modules if m.startswith("weylwalks.")), file=sys.stderr)
+"""
+
+
+def test_root_info_loads_root_data_alone():
+    # |W| comes from the root heights: the F4 datum enumerates no element, and no
+    # layer above rootdata is imported
+    proc = _python(ROOT_INFO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "weylwalks.cli", "weylwalks.errors",
+                                   "weylwalks.rootdata"]
+    assert '"weyl_order": 1152' in proc.stdout

@@ -23,10 +23,12 @@ from weylwalks import (
     weight_multiplicities,
     wsub,
 )
+from weylwalks import chars
 from weylwalks.polytope import (
     FLOAT_SNAP,
     admissible_depths,
     face_lattice_jsonable,
+    face_rows,
     hull_contains,
     is_admissible,
     l1_infeasibility,
@@ -198,6 +200,28 @@ def test_face_weights_equal_hull_slice(cartan, delta):
         by_hull = tuple(sorted(
             g for g in ms.entries if hull_contains(f.vertices, g)))
         assert by_hull == f.face_weights
+
+
+def _numpy_face_rows(cartan, delta, support):
+    """The face rule as a numpy mask over the exponent array, as earlier versions
+    computed it."""
+    weights, exps, mults = chars._module_table(cartan, delta)
+    exps, mults = np.array(exps, dtype=np.int64), np.array(mults, dtype=float)
+    on = ~exps[:, [k for k in range(cartan.rank) if k not in support]].any(axis=1)
+    return tuple(g for g, keep in zip(weights, on.tolist()) if keep), exps[on], mults[on]
+
+
+@pytest.mark.parametrize("cartan,delta", [
+    (A1, (2,)), (A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0)), (A3, (1, 0, 1)), (B3, (0, 0, 1)),
+    (C3, (1, 0, 0)), (D4, (1, 0, 0, 0)), (F4, (0, 0, 0, 1))])
+def test_face_rows_match_the_numpy_mask(cartan, delta):
+    for adm in admissible_subsets(cartan, delta):
+        weights, exps, mults = face_rows(cartan, delta, adm.indices)
+        ref_weights, ref_exps, ref_mults = _numpy_face_rows(cartan, delta, adm.indices)
+        assert weights == ref_weights
+        assert [list(row) for row in exps] == ref_exps.tolist()
+        assert list(mults) == ref_mults.tolist()
+        assert all(type(x) is int for row in exps + (mults,) for x in row)
 
 
 def test_face_lattice_jsonable():

@@ -14,7 +14,7 @@ from weylwalks import (
     weight,
     wzero,
 )
-from weylwalks.rootdata import _mat_apply, _mat_mul, cartan_type
+from weylwalks.rootdata import _CLASSICAL, CartanDatum, _mat_apply, _mat_mul, cartan_type
 
 CLASSICAL_CASES = [
     ("A", 1, 2, 1),
@@ -51,6 +51,14 @@ def test_cartan_matrix_shape_invariants(family, rank, order, npos):
     for i in range(rank):
         for j in range(rank):
             assert d[i] * c.cartan[i][j] == d[j] * c.cartan[j][i]
+
+
+@pytest.mark.parametrize("family,rank", sorted(_CLASSICAL))
+def test_weyl_order_from_root_heights(family, rank):
+    c = CartanDatum(family, rank)
+    assert "elements" not in vars(c)  # enumerated on first use
+    assert c.weyl_order == _CLASSICAL[(family, rank)][0]
+    assert len(c.elements) == c.weyl_order
 
 
 def test_a1_data():
