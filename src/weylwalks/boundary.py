@@ -22,12 +22,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NoConvergence, NotAWeight, NotDominantDrift, format_weight
-from .rootdata import CartanDatum, WeylElement, int_weight, minimal_coset_rep, wadd, wsub
+from .rootdata import CartanDatum, WeylElement, check_rank, int_weight, minimal_coset_rep, \
+    wadd, wsub
 from . import chars, paths, polytope
 
 NEWTON_GRAD_TOL = 1e-12
 NEWTON_MAX_ITER = 200
-ROUND_TRIP_TOL = 1e-8
 CLAMP_TO_ONE = 1e-9
 
 
@@ -150,11 +150,18 @@ def random_boundary_point(cartan: CartanDatum, delta, rng,
 
 def _law_value(t, e, n, s_delta, log_factor=0.0) -> float:
     """exp(log_factor) t^e / S_delta^n in log space (S_delta^n overflows near
-    n = 340 for the A2 adjoint); 0**0 = 1, and an underflow gives 0.0."""
+    n = 340 for the A2 adjoint); 0**0 = 1, and an underflow gives 0.0.
+
+    Factors equal to 1 are skipped, so n and e may be any ints: every other log
+    is at least 2^-53 in magnitude and negative, and an n or k past the float
+    range (OverflowError) puts the exponent below -1e292."""
     if any(k and ti == 0.0 for ti, k in zip(t, e)):
         return 0.0
-    return math.exp(log_factor - n * math.log(s_delta)
-                    + sum(k * math.log(ti) for ti, k in zip(t, e) if k))
+    try:
+        return math.exp(log_factor - (n * math.log(s_delta) if s_delta != 1.0 else 0.0)
+                        + sum(k * math.log(ti) for ti, k in zip(t, e) if k and ti != 1.0))
+    except OverflowError:
+        return 0.0
 
 
 def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
@@ -166,7 +173,7 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
     and n delta minus its dominant representative lies in Q+ (saturation).
     InvalidWeight when gamma has the wrong rank."""
     cartan = point.cartan
-    chars.check_rank(cartan, gamma)
+    check_rank(cartan, gamma)
     g = int_weight(gamma)
     below = None if g is None else \
         chars.free_exponent(cartan, point.delta, cartan.identity, n, cartan.descend(g)[0])
@@ -393,7 +400,7 @@ class CentralMeasure:
         if self.kind == "chamber":
             mus, probs, _, _ = self.chamber_kernel.table(chars.check_weight(self.cartan, lam))
             return {mu: q for mu, q in zip(mus, probs) if q}
-        chars.check_rank(self.cartan, lam)
+        check_rank(self.cartan, lam)
         start = int_weight(lam)
         if start is None:
             raise NotAWeight(f"{format_weight(lam)} is not an integral weight")

@@ -364,7 +364,8 @@ def _coset_pack(cartan, ones):
     """Int tables of the minimal coset representatives u of W_I\\W, I = ones, in
     enumeration order (all of W for I = ()): for weights x, x @ images holds every
     u(x) and x @ lifts every x - u(x) in root coordinates; with them the dets, the
-    int coroots of Phi_I^+ (<v, alpha^vee> = row . v) and the guard."""
+    int coroots of Phi_I^+ (<v, alpha^vee> = row . v), the guard and the largest
+    |coordinate| of lambda for which lambda + rho keeps those products in int64."""
     import numpy as np
 
     reps = tuple(dict.fromkeys(minimal_coset_rep(cartan, w, ones)
@@ -379,8 +380,12 @@ def _coset_pack(cartan, ones):
         for a in cartan.positive_roots
         if all(c == 0 for k, c in enumerate(cartan.alpha_coords(a)) if k not in ones))
     guard = len(reps) * 2.0**-53 / (ROW_TOL / 4)
-    return (images.reshape(cartan.rank, -1), lifts.reshape(cartan.rank, -1),
-            dets, coroots, guard)
+    images, lifts = images.reshape(cartan.rank, -1), lifts.reshape(cartan.rank, -1)
+    # |x @ lifts| <= max|x| * largest column sum, and likewise the pairings
+    scale = np.abs(lifts).sum(axis=0).max(initial=1)
+    if coroots:
+        scale = max(scale, np.abs(images).sum(axis=0).max() * np.abs(coroots).sum(axis=1).max())
+    return images, lifts, dets, coroots, guard, (2**63 - 1) // int(scale) - 1
 
 
 def _exact_sum(coefs, exps, t) -> float:
@@ -409,14 +414,19 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t):
     det(u) and coroot pairings.  The table is summed in binary64; a weight whose
     float sum cancels, kappa = sum|terms| / |sum| with the rounding bound
     kappa |W/W_I| 2^-53 over ROW_TOL / 4, has the same table summed in integers
-    and rounded once (_exact_sum).
+    and rounded once (_exact_sum).  A weight with a coordinate past the pack's
+    int64 limit is an InvalidWeight.
     """
     import numpy as np
 
     t = [float(x) for x in t]
     ones = tuple(i for i, x in enumerate(t) if x == 1.0)
     zeros = [i for i, x in enumerate(t) if x == 0.0]
-    images, lifts, dets, coroots, guard = _coset_pack(cartan, ones)
+    images, lifts, dets, coroots, guard, limit = _coset_pack(cartan, ones)
+    if lams and not -limit <= min(map(min, lams)) <= max(map(max, lams)) <= limit:
+        big = max(lams, key=lambda lam: max(map(abs, lam)))
+        raise InvalidWeight(f"the Weyl numerator of {format_weight(big)} overflows int64 "
+                            f"(coordinates at most {limit} in absolute value)")
     x = np.fromiter(itertools.chain.from_iterable(lams), np.int64).reshape(-1, cartan.rank)
     x += 1  # lam + rho
     exps = (x @ lifts).reshape(len(lams), len(dets), cartan.rank)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -22,20 +20,6 @@ from .rootdata import cartan_type
 # the layers (and numpy with the float ones) are imported by the branches that
 # use them, so `root info` loads rootdata alone and the exact subcommands start
 # without numpy
-
-ENV_DIM_CAP = "WEYLWALKS_DIM_CAP"
-ENV_LEVEL_CAP = "WEYLWALKS_LEVEL_CAP"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: str = ""
-    rank: int = 0
-    delta: tuple = ()
-    params: dict = field(default_factory=dict)
-    seed: int = None
-    fmt: str = "json"
 
 
 def _token(token: str, decimal):
@@ -62,15 +46,6 @@ def _cartan_token(text: str):
         return cartan_type(text)
     except WeylWalksError:
         raise argparse.ArgumentTypeError(f"unsupported Cartan type token {text!r}")
-
-
-def _env_int(name, default):
-    value = os.environ.get(name)
-    try:
-        return int(value) if value else default
-    except ValueError:
-        sys.stderr.write(f"weylwalks: error: {name} must be an integer, got {value!r}\n")
-        raise SystemExit(2)
 
 
 def _add_common(sub, need_delta=True):
@@ -102,15 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     cry = top.add_parser("crystal", help="the path crystal B(delta)")
     cry_sub = cry.add_subparsers(dest="verb", required=True)
     _add_common(cry_sub.add_parser("build")).add_argument(
-        "--dim-cap", type=int, default=_env_int(ENV_DIM_CAP, DEFAULT_DIM_CAP))
+        "--dim-cap", type=int, default=DEFAULT_DIM_CAP)
 
     gr = top.add_parser("graph", help="growth graphs")
     gr_sub = gr.add_subparsers(dest="verb", required=True)
     g = _add_common(gr_sub.add_parser("build"))
     g.add_argument("--kind", choices=("free", "chamber"), required=True)
     g.add_argument("--nmax", type=int, required=True)
-    g.add_argument("--level-cap", type=int,
-                   default=_env_int(ENV_LEVEL_CAP, DEFAULT_LEVEL_CAP))
+    g.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP)
 
     poly = top.add_parser("polytope", help="the weight polytope K(delta)")
     poly_sub = poly.add_subparsers(dest="verb", required=True)
@@ -148,96 +122,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse(argv) -> RunConfig:
-    """argv -> validated RunConfig; argparse exits with code 2 on bad usage."""
-    ns = build_parser().parse_args(argv)
-    if ns.group == "verify":
-        if ns.suite == "all":
-            criteria = None
-        else:
+def parse(argv) -> argparse.Namespace:
+    """argv -> validated namespace, coordinates broadcast to the rank; argparse
+    exits with code 2 on bad usage."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.group == "verify":
+        args.criteria = None
+        if args.suite != "all":
             try:
-                criteria = [int(x) for x in ns.suite.split(",")]
+                args.criteria = [int(x) for x in args.suite.split(",")]
             except ValueError:
-                build_parser().error(f"cannot parse --suite {ns.suite!r}")
-            unknown = [c for c in criteria if not 1 <= c <= 10]
+                parser.error(f"cannot parse --suite {args.suite!r}")
+            unknown = [c for c in args.criteria if not 1 <= c <= 10]
             if unknown:
-                build_parser().error(f"unknown criteria {unknown}")
-        if ns.type_filter is not None:
+                parser.error(f"unknown criteria {unknown}")
+        if args.type_filter is not None:
             from . import acceptance
 
             suite_types = list(dict.fromkeys(tok for tok, _, _ in acceptance.suite_deltas()))
-            if ns.type_filter not in suite_types:
-                build_parser().error(f"--type must be a suite type {suite_types}, "
-                                     f"got {ns.type_filter!r}")
-        return RunConfig(command="verify",
-                         params={"criteria": criteria, "types": ns.type_filter})
+            if args.type_filter not in suite_types:
+                parser.error(f"--type must be a suite type {suite_types}, "
+                             f"got {args.type_filter!r}")
+        return args
     for key in ("steps", "nmax", "n", "seed"):
-        if getattr(ns, key, 0) < 0:
-            build_parser().error(f"--{key} must be nonnegative, got {getattr(ns, key)}")
-    for key, env in (("dim_cap", ENV_DIM_CAP), ("level_cap", ENV_LEVEL_CAP)):
-        if getattr(ns, key, 1) < 1:
-            build_parser().error(f"--{key.replace('_', '-')} (default from {env}) must be "
-                                 f"at least 1, got {getattr(ns, key)}")
-    cartan = ns.cartan
-    command = ns.group if ns.group == "sample" else f"{ns.group}-{ns.verb}"
-    delta = ()
-    if getattr(ns, "delta", None) is not None:
-        delta = _broadcast(ns.delta, cartan.rank, "--delta")
-    params = {}
-    for key in ("kind", "nmax", "mode", "lam", "n", "m", "steps", "dim_cap", "level_cap"):
-        if hasattr(ns, key):
-            params[key] = getattr(ns, key)
-    if "m" in params:
-        params["m"] = _broadcast(params["m"], cartan.rank, "--m")
-    if params.get("lam") is not None:
-        params["lam"] = _broadcast(params["lam"], cartan.rank, "--lambda")
-    return RunConfig(
-        command=command, family=cartan.family, rank=cartan.rank,
-        delta=delta, params=params, seed=getattr(ns, "seed", None),
-        fmt=getattr(ns, "fmt", "json"),
-    )
-
-
-def _broadcast(coords, rank, flag):
-    if len(coords) == 1 and rank > 1:
-        coords = coords * rank
-    if len(coords) != rank:
-        build_parser().error(f"{flag} needs {rank} coordinates, got {len(coords)}")
-    return coords
+        if getattr(args, key, 0) < 0:
+            parser.error(f"--{key} must be nonnegative, got {getattr(args, key)}")
+    for key in ("dim_cap", "level_cap"):
+        if getattr(args, key, 1) < 1:
+            parser.error(f"--{key.replace('_', '-')} must be at least 1, got {getattr(args, key)}")
+    rank = args.cartan.rank
+    for key, flag in (("delta", "--delta"), ("m", "--m"), ("lam", "--lambda")):
+        coords = getattr(args, key, None)
+        if coords is None:
+            continue
+        if len(coords) == 1:
+            coords *= rank
+        if len(coords) != rank:
+            parser.error(f"{flag} needs {rank} coordinates, got {len(coords)}")
+        setattr(args, key, coords)
+    return args
 
 
 def _emit(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit code."""
-    if config.command == "verify":
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed namespace; returns the process exit code."""
+    if args.group == "verify":
         from . import acceptance
 
         results = acceptance.run_acceptance(
-            criteria=config.params["criteria"],
-            types=[config.params["types"]] if config.params["types"] else None,
-        )
+            criteria=args.criteria, types=[args.type_filter] if args.type_filter else None)
         for r in results:
             print(r.line(), file=sys.stderr)
         print(_emit([r.to_jsonable() for r in results]))
         return 0 if all(r.passed for r in results) else 1
 
-    cartan = cartan_type(f"{config.family}{config.rank}")
-    if config.command == "root-info":
+    cartan = args.cartan
+    if args.group == "root":
         print(cartan.to_json())
         return 0
 
     from . import chars
 
-    delta = chars.check_weight(cartan, config.delta)
-    p = config.params
+    delta = chars.check_weight(cartan, args.delta)
 
-    if config.command == "crystal-build":
+    if args.group == "crystal":
         from . import paths
 
-        cb = paths.generate_crystal(cartan, delta, dim_cap=p["dim_cap"])
+        cb = paths.generate_crystal(cartan, delta, dim_cap=args.dim_cap)
         doc = {
             "size": len(cb.paths),
             "endpoints": [[str(c) for c in e] for e in cb.endpoints()],
@@ -246,15 +201,15 @@ def run(config: RunConfig) -> int:
         print(_emit(doc))
         return 0
 
-    if config.command == "graph-build":
+    if args.group == "graph":
         from . import paths
 
-        g = paths.build_growth_graph(cartan, p["kind"], delta, p["nmax"],
-                                     level_cap=p["level_cap"])
+        g = paths.build_growth_graph(cartan, args.kind, delta, args.nmax,
+                                     level_cap=args.level_cap)
         print(_emit({"kind": g.kind, "levels": paths.graph_levels_jsonable(g)}))
         return 0
 
-    if config.command == "polytope-faces":
+    if args.group == "polytope":
         from . import polytope
 
         faces = polytope.dominant_faces(cartan, delta)
@@ -263,21 +218,21 @@ def run(config: RunConfig) -> int:
 
     from . import boundary
 
-    if config.command == "drift-invert":
-        pt = boundary.invert_drift(cartan, delta, p["m"])
+    if args.group == "drift":
+        pt = boundary.invert_drift(cartan, delta, args.m)
         print(_emit(pt.to_jsonable()))
         return 0
 
-    if config.command == "measure-eval":
-        meas = boundary.central_measure(cartan, delta, p["mode"], p["m"])
-        lam = p["lam"] or delta
-        if config.fmt == "csv":
+    meas = boundary.central_measure(cartan, delta, args.mode, args.m)
+    if args.group == "measure":
+        lam = args.lam or delta
+        if args.fmt == "csv":
             print(boundary.kernel_rows_csv(meas, [lam]), end="")
             return 0
         doc = meas.to_jsonable()
         doc["lambda"] = [str(c) for c in lam]
-        doc["n"] = p["n"]
-        doc["p"] = repr(meas.p(lam, p["n"]))
+        doc["n"] = args.n
+        doc["p"] = repr(meas.p(lam, args.n))
         doc["kernel_row"] = {
             " ".join(str(c) for c in mu): repr(q)
             for mu, q in sorted(meas.kernel_row(lam).items())
@@ -285,28 +240,24 @@ def run(config: RunConfig) -> int:
         print(_emit(doc))
         return 0
 
-    if config.command == "sample":
-        from . import montecarlo
+    from . import montecarlo  # the group left is sample
 
-        meas = boundary.central_measure(cartan, delta, p["mode"], p["m"])
-        traj = montecarlo.sample_trajectory(meas, p["steps"], seed=config.seed)
-        if config.fmt == "csv":
-            print(montecarlo.trajectory_csv(traj), end="")
-            return 0
-        print(_emit({
-            "letters": list(traj.letters),
-            "positions": [[str(c) for c in pos] for pos in traj.positions],
-            "seed": config.seed,
-        }))
+    traj = montecarlo.sample_trajectory(meas, args.steps, seed=args.seed)
+    if args.fmt == "csv":
+        print(montecarlo.trajectory_csv(traj), end="")
         return 0
-
-    raise AssertionError(f"unhandled command {config.command}")
+    print(_emit({
+        "letters": list(traj.letters),
+        "positions": [[str(c) for c in pos] for pos in traj.positions],
+        "seed": args.seed,
+    }))
+    return 0
 
 
 def main(argv=None) -> int:
-    config = parse(sys.argv[1:] if argv is None else argv)
+    args = parse(sys.argv[1:] if argv is None else argv)
     try:
-        return run(config)
+        return run(args)
     except WeylWalksError as exc:
         print(_emit({"error": type(exc).__name__, "detail": str(exc)}))
         return 2

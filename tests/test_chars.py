@@ -405,6 +405,25 @@ def test_weyl_numerator_empty_batch():
         assert weyl_numerator_batch(A2, [], t).shape == (0,)
 
 
+@pytest.mark.parametrize("family,rank", sorted(_CLASSICAL))
+def test_weyl_numerator_int64_limit(family, rank):
+    # at the pack's limit the int64 exponent rows and pairings do not wrap: the
+    # identity term, prod_{alpha in Phi_I^+} <lam + rho, alpha^vee>, is the whole
+    # value (the other terms underflow); one past the limit is refused
+    cartan = build_root_system(family, rank)
+    for t in [(0.5,) * rank, (1.0,) + (0.5,) * (rank - 1)]:
+        ones = tuple(i for i, x in enumerate(t) if x == 1.0)
+        limit = chars._coset_pack(cartan, ones)[-1]
+        shifted = (limit + 1,) * rank
+        expected = math.prod(
+            2 * cartan.pairing(shifted, a) / cartan.pairing(a, a) for a in cartan.positive_roots
+            if all(c == 0 for k, c in enumerate(cartan.alpha_coords(a)) if k not in ones))
+        (num,) = weyl_numerator_batch(cartan, [(limit,) * rank], t)
+        assert num == pytest.approx(float(expected), rel=1e-12)
+        with pytest.raises(InvalidWeight, match="overflows int64"):
+            weyl_numerator_batch(cartan, [(0,) * (rank - 1) + (limit + 1,)], t)
+
+
 def test_weyl_numerator_float_sum_is_exact_on_faces(monkeypatch):
     # at moderate t the float sum alone is right on faces and at t_i = 1: no
     # weight needs the exact re-summation

@@ -23,17 +23,15 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_root_info():
-    cfg = parse(["root", "info", "--type", "A2"])
-    assert cfg.command == "root-info"
-    assert (cfg.family, cfg.rank) == ("A", 2)
+    args = parse(["root", "info", "--type", "A2"])
+    assert (args.group, args.verb) == ("root", "info")
+    assert (args.cartan.family, args.cartan.rank) == ("A", 2)
 
 
 def test_parse_drift_invert_mixed_coordinates():
-    cfg = parse(["drift", "invert", "--type", "A2", "--delta", "1,0",
-                 "--m", "0.2,1/10"])
-    from fractions import Fraction
-
-    assert cfg.params["m"][1] == Fraction(1, 10)
+    args = parse(["drift", "invert", "--type", "A2", "--delta", "1,0",
+                  "--m", "0.2,1/10"])
+    assert args.m[1] == Fraction(1, 10)
 
 
 def test_parse_bad_type_token_names_it(capsys):
@@ -236,8 +234,7 @@ def test_negative_count_is_usage_error(capsys, argv, flag):
     out = capsys.readouterr()
     assert out.out == ""
     if flag.endswith("-cap"):
-        assert f"{flag} (default from WEYLWALKS_" in out.err
-        assert f"must be at least 1, got {argv[-1]}" in out.err
+        assert f"{flag} must be at least 1, got {argv[-1]}" in out.err
     else:
         assert f"{flag} must be nonnegative, got -" in out.err
     assert "Traceback" not in out.err
@@ -319,6 +316,34 @@ def test_measure_eval_at_large_n_prints_json(capsys, mode):
     assert doc["n"] == 400 and doc["p"] == "0.0"
 
 
+@pytest.mark.parametrize("mode,m,lam,p", [
+    ("free", "0.5", "1", "0.0"),
+    ("chamber", "0.5", "1", "0.0"),
+    # t = 0: S_delta = 1 and t^0 = 1, so p(n delta, n) = 1 at any n
+    ("free", "1", str(10**400 + 1), "1.0"),
+], ids=["free", "chamber", "free-vertex"])
+def test_measure_eval_past_the_float_range_prints_json(capsys, mode, m, lam, p):
+    # n = 10^400 + 1 has no float: p is formed without converting it
+    n = 10**400 + 1
+    code, out, err = run_cli(capsys, "measure", "eval", "--type", "A1", "--delta", "1",
+                             "--mode", mode, "--m", m, "--lambda", lam, "--n", str(n))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["n"] == n and doc["p"] == p
+
+
+@pytest.mark.parametrize("lam", [2**62, 2**63])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_chamber_weights_past_int64_are_domain_errors(capsys, lam, fmt):
+    # the Weyl numerators' exponent rows are int64 products; they must not wrap
+    code, out, err = run_cli(capsys, "measure", "eval", "--type", "A2", "--delta", "1,1",
+                             "--mode", "chamber", "--m", "0.3,0.2", "--lambda", f"{lam},{lam}",
+                             "--n", str(lam), "--format", fmt)
+    assert code == 2 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["error"] == "InvalidWeight" and "overflows int64" in doc["detail"]
+
+
 def test_crystal_dimension_cap_detail_prints_plain_weight(capsys):
     code, out, _ = run_cli(capsys, "crystal", "build", "--type", "A2", "--delta", "1,0",
                            "--dim-cap", "2")
@@ -327,32 +352,25 @@ def test_crystal_dimension_cap_detail_prints_plain_weight(capsys):
                                "detail": "dim V(1, 0) = 3 exceeds cap 2"}
 
 
-@pytest.mark.parametrize("name", ["WEYLWALKS_DIM_CAP", "WEYLWALKS_LEVEL_CAP"])
-def test_non_integer_cap_environment_is_usage_error(capsys, monkeypatch, name):
-    monkeypatch.setenv(name, "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["root", "info", "--type", "A2"])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == f"weylwalks: error: {name} must be an integer, got 'abc'\n"
-
-
-@pytest.mark.parametrize("env,argv", [
-    ("WEYLWALKS_LEVEL_CAP", ["graph", "build", "--type", "A2", "--delta", "1,0",
-                             "--kind", "chamber", "--nmax", "2"]),
-    ("WEYLWALKS_DIM_CAP", ["crystal", "build", "--type", "A2", "--delta", "1,0"]),
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["root", "info", "--type", "A2"],
+    ["graph", "build", "--type", "A1", "--delta", "1", "--kind", "free", "--nmax", "3"],
 ])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_cap_below_one_from_environment_is_usage_error(capsys, monkeypatch, env, argv, value):
-    monkeypatch.setenv(env, value)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert f"(default from {env}) must be at least 1, got {value}" in out.err
-    assert "Traceback" not in out.err
+def test_caps_are_not_read_from_the_environment(capsys, monkeypatch, argv):
+    # the caps are flags only: stale WEYLWALKS_* variables change nothing
+    def run():
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    unset = run()
+    monkeypatch.setenv("WEYLWALKS_DIM_CAP", "abc")
+    monkeypatch.setenv("WEYLWALKS_LEVEL_CAP", "0")
+    assert run() == unset
+    assert unset[0] == 0 and unset[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -372,13 +390,11 @@ def test_cap_flags_belong_to_one_subcommand_each(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
-def test_level_cap_flag_and_environment(capsys, monkeypatch):
-    argv = ["graph", "build", "--type", "A1", "--delta", "1", "--kind", "free", "--nmax", "3"]
-    code, out, _ = run_cli(capsys, *argv, "--level-cap", "3")
+def test_level_cap_flag_detail(capsys):
+    code, out, _ = run_cli(capsys, "graph", "build", "--type", "A1", "--delta", "1",
+                           "--kind", "free", "--nmax", "3", "--level-cap", "3")
     assert code == 2
     assert json.loads(out) == {"error": "LevelCap", "detail": "level 3 has 4 vertices > cap 3"}
-    monkeypatch.setenv("WEYLWALKS_LEVEL_CAP", "3")
-    assert run_cli(capsys, *argv)[1] == out
 
 
 def test_enum_cap_flag_is_gone(capsys):
