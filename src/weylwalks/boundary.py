@@ -21,7 +21,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence, NotAWeight, NotDominantDrift, format_weight
+from .errors import NoConvergence, NotAWeight, NotDominantDrift, OrderViolation, \
+    format_weight
 from .rootdata import CartanDatum, WeylElement, check_rank, int_weight, minimal_coset_rep, \
     wadd, wsub
 from . import chars, paths, polytope
@@ -56,8 +57,14 @@ class BoundaryPoint:
     t lies in the restricted box (support is delta-admissible) and w is the
     minimal right-coset representative modulo the stabilizer of the drift's
     dominant representative; delta is an int tuple (DimensionCap above the
-    default cap).  The free step law's monomials, and from them the drift, are
-    computed lazily, once per point.
+    default cap).  Nothing is computed at construction; the quantities every
+    law reads are computed lazily, once per point:
+    - s_delta = S_delta(t) and its log, log_s_delta;
+    - zeros, the i with t_i = 0, and log_t, the pairs (i, log t_i) for t_i
+      not in {0, 1}, in index order;
+    - monomials, the free step law's t^(delta - w gamma), and from them
+      step_law, its nonzero probabilities (gamma, K_gamma mono / S_delta),
+      and the drift.
     """
 
     def __init__(self, cartan: CartanDatum, delta, t, w: WeylElement):
@@ -76,6 +83,18 @@ class BoundaryPoint:
         return chars.evaluate_S(self.cartan, self.delta, self.delta, self.t)
 
     @cached_property
+    def log_s_delta(self) -> float:
+        return math.log(self.s_delta)
+
+    @cached_property
+    def zeros(self) -> tuple:
+        return tuple(i for i, x in enumerate(self.t) if x == 0.0)
+
+    @cached_property
+    def log_t(self) -> tuple:
+        return tuple((i, math.log(x)) for i, x in enumerate(self.t) if x not in (0.0, 1.0))
+
+    @cached_property
     def monomials(self) -> dict:
         """{gamma: t^(delta - w gamma)} over the weights of V(delta) in table
         order: S_delta(t) psi(t,w)(e^gamma, 1), the free step law's monomials.
@@ -84,6 +103,15 @@ class BoundaryPoint:
         rows = dict(zip(weights, exps))
         return {g: chars.monomial(self.t, rows[self.cartan.apply(self.w, g)])
                 for g in weights}
+
+    @cached_property
+    def step_law(self) -> list:
+        """[(gamma, K_gamma t^(delta - w gamma) / S_delta)] over the weights of
+        V(delta) in table order, zero probabilities left out."""
+        _, _, mults = chars._module_table(self.cartan, self.delta)
+        s_delta = self.s_delta
+        return [(g, q) for k, (g, mono) in zip(mults, self.monomials.items())
+                if (q := k * mono / s_delta)]
 
     @cached_property
     def drift(self) -> tuple:
@@ -148,18 +176,21 @@ def random_boundary_point(cartan: CartanDatum, delta, rng,
 # -- evaluation of the morphism ------------------------------------------------
 
 
-def _law_value(t, e, n, s_delta, log_factor=0.0) -> float:
+def _law_value(point: BoundaryPoint, e, n, log_factor=0.0) -> float:
     """exp(log_factor) t^e / S_delta^n in log space (S_delta^n overflows near
-    n = 340 for the A2 adjoint); 0**0 = 1, and an underflow gives 0.0.
+    n = 340 for the A2 adjoint); 0**0 = 1, and an underflow gives 0.0.  The
+    logs are the point's, computed once: log_s_delta, and log_t, which with
+    zeros leaves out every t_i in {0, 1}.
 
     Factors equal to 1 are skipped, so n and e may be any ints: every other log
     is at least 2^-53 in magnitude and negative, and an n or k past the float
     range (OverflowError) puts the exponent below -1e292."""
-    if any(k and ti == 0.0 for ti, k in zip(t, e)):
+    if any(e[i] for i in point.zeros):
         return 0.0
+    log_s = point.log_s_delta
     try:
-        return math.exp(log_factor - (n * math.log(s_delta) if s_delta != 1.0 else 0.0)
-                        + sum(k * math.log(ti) for ti, k in zip(t, e) if k and ti != 1.0))
+        return math.exp(log_factor - (n * log_s if log_s else 0.0)
+                        + sum(e[i] * log_ti for i, log_ti in point.log_t if e[i]))
     except OverflowError:
         return 0.0
 
@@ -181,7 +212,7 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
         raise NotAWeight(f"{format_weight(gamma)} is not a weight at level {n}")
     e = chars.free_exponent(cartan, point.delta, point.w, n, g)
     assert min(e) >= 0
-    return _law_value(point.t, e, n, point.s_delta)
+    return _law_value(point, e, n)
 
 
 # -- drift inversion -------------------------------------------------------------
@@ -386,11 +417,14 @@ class CentralMeasure:
         """Probability of any single length-n path ending at lam."""
         if self.kind == "free":
             return psi_eval(self.point, lam, n)
-        top = chars.check_weight(self.cartan, lam)
-        ndelta = tuple(n * c for c in self.delta)
+        cartan = self.cartan
+        top = chars.check_weight(cartan, lam)
+        e = chars.free_exponent(cartan, self.delta, cartan.identity, n, top)
+        if e is None or min(e) < 0:
+            raise OrderViolation(f"{format_weight(tuple(n * c for c in self.delta))} "
+                                 f"is not >= {format_weight(top)} in the root order")
         num = self.chamber_kernel.numerator  # S_{lam,lam} = N_lam / N_0
-        return _law_value(self.point.t, chars.order_exponent(self.cartan, top, ndelta), n,
-                          self.point.s_delta, math.log(num(top) / num((0,) * len(top))))
+        return _law_value(self.point, e, n, math.log(num(top) / num((0,) * len(top))))
 
     def kernel_row(self, lam) -> dict:
         """Transition probabilities out of lam (from any level, homogeneous),
@@ -404,12 +438,8 @@ class CentralMeasure:
         start = int_weight(lam)
         if start is None:
             raise NotAWeight(f"{format_weight(lam)} is not an integral weight")
-        _, _, mults = chars._module_table(self.cartan, self.delta)
-        s_delta = self.point.s_delta
         # the weights gamma of V(delta) are distinct, and so are the targets
-        monomials = self.point.monomials.items()
-        return {wadd(start, g): q for k, (g, mono) in zip(mults, monomials)
-                if (q := k * mono / s_delta)}
+        return {tuple(map(operator.add, start, g)): q for g, q in self.point.step_law}
 
     def to_jsonable(self) -> dict:
         return dict(self.point.to_jsonable(), rank=self.cartan.rank, kind=self.kind)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -165,16 +166,6 @@ def monomial(t, exponents) -> float:
     return out
 
 
-def order_exponent(cartan: CartanDatum, top, mu):
-    """alpha(mu - top) as ints, the exponent S_{top,mu} adds to every term;
-    OrderViolation unless mu >= top in the root order."""
-    shift = cartan.int_alpha_coords(tuple(m - c for m, c in zip(mu, top)))
-    if shift is None or any(k < 0 for k in shift):
-        raise OrderViolation(
-            f"{format_weight(mu)} is not >= {format_weight(top)} in the root order")
-    return shift
-
-
 def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
     """S_{lambda,mu}(t) = sum_gamma K_{lambda,gamma} t^(mu - gamma).
 
@@ -186,17 +177,39 @@ def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
     import numpy as np
 
     top = check_weight(cartan, lam, DEFAULT_DIM_CAP)
-    shift = order_exponent(cartan, top, mu)
+    mu_int = int_weight(mu)
+    shift = None if mu_int is None else free_exponent(cartan, mu_int, cartan.identity, 1, top)
+    if shift is None or min(shift) < 0:
+        raise OrderViolation(
+            f"{format_weight(mu)} is not >= {format_weight(top)} in the root order")
     exps, mults = _table_arrays(cartan, top)
     tv = np.asarray([float(x) for x in t], dtype=float)
     return float(np.dot(mults, np.prod(tv ** (exps + shift), axis=1)))
 
 
+@lru_cache(maxsize=None)
+def _exponent_rows(cartan, delta, matrix):
+    """Pairs (den alpha_i(delta), row i of den C^-1 w) for the Weyl element w
+    with this matrix, den = cartan._alpha_den: row i . gamma is den alpha_i(w gamma)."""
+    return tuple((sum(map(operator.mul, row, delta)),
+                  tuple(sum(map(operator.mul, row, col)) for col in zip(*matrix)))
+                 for row in cartan._omega_to_alpha_int)
+
+
 def free_exponent(cartan: CartanDatum, delta, w: WeylElement, n: int, gamma):
-    """alpha(n delta - w gamma) as ints, the exponent of psi(t,w)(e^gamma, n),
-    for int tuples delta and gamma; None when it is off the root lattice."""
-    wg = cartan.apply(w, gamma)
-    return cartan.int_alpha_coords(tuple(n * d - x for d, x in zip(delta, wg)))
+    """alpha(n delta - w gamma) as ints for int tuples delta and gamma; None when
+    it is off the root lattice.  The one exponent map of the package: psi(t,w)
+    (e^gamma, n) and the wedge sequence read it, and with w = identity it is
+    the shift alpha(mu - lambda) of S_{lambda,mu} (chamber p, evaluate_S).  One
+    divmod per coordinate, on int rows cached per (cartan, delta, w)."""
+    den = cartan._alpha_den
+    out = []
+    for d, w_row in _exponent_rows(cartan, delta, w.matrix):
+        q, r = divmod(n * d - sum(map(operator.mul, w_row, gamma)), den)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
 
 
 # -- decomposition into irreducibles -----------------------------------------
@@ -415,7 +428,8 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t):
     float sum cancels, kappa = sum|terms| / |sum| with the rounding bound
     kappa |W/W_I| 2^-53 over ROW_TOL / 4, has the same table summed in integers
     and rounded once (_exact_sum).  A weight with a coordinate past the pack's
-    int64 limit is an InvalidWeight.
+    int64 limit, or whose pairing product overflows binary64 (F4 at t = 1 near
+    lambda = 10^14), is an InvalidWeight.
     """
     import numpy as np
 
@@ -436,7 +450,16 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t):
         terms[(exps[:, :, zeros] > 0).any(axis=2)] = 0.0
     if ones:
         pairings = (x @ images).reshape(len(lams), len(dets), cartan.rank) @ np.array(coroots).T
-        terms *= np.prod(pairings.astype(float), axis=2)
+        # inside the int64 limit the binary64 product can still overflow: F4 at t = 1
+        # multiplies 24 pairings, and past about 2^43 each that passes the float range
+        with np.errstate(over="ignore"):
+            products = np.prod(pairings.astype(float), axis=2)
+        finite = np.isfinite(products).all(axis=1)
+        if not finite.all():
+            big = lams[int(finite.argmin())]
+            raise InvalidWeight(f"the Weyl numerator of {format_weight(big)} overflows binary64 "
+                                f"(its coroot pairings multiply past the float range)")
+        terms *= products
     nums = (terms * dets).sum(axis=1)
     # terms are >= 0 before det(u) = +-1: guard sum(terms) / nums is the bound over ROW_TOL / 4
     for k, kept in enumerate((nums >= guard * terms.sum(axis=1)).tolist()):

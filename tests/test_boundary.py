@@ -17,8 +17,11 @@ from weylwalks import (
     NotDominantDrift,
     NotInPolytope,
     OrderViolation,
+    WeylWalksError,
     boundary_point,
+    build_growth_graph,
     build_root_system,
+    chars,
     c_harmonic_level,
     central_measure,
     dominant_faces,
@@ -40,6 +43,8 @@ from weylwalks.boundary import (
     kernel_rows_csv,
     stabilizer_set,
 )
+from weylwalks.errors import format_weight
+from weylwalks.rootdata import check_rank, int_weight, wadd
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -116,7 +121,7 @@ def test_psi_saturation_test_matches_path_counts():
                 ndelta = tuple(n * c for c in delta)
                 e = cartan.alpha_coords(tuple(a - b for a, b in
                                               zip(ndelta, cartan.apply(pt.w, gamma))))
-                assert value == _law_value(pt.t, e, n, pt.s_delta)
+                assert value == _law_value(pt, e, n)
                 assert value == pytest.approx(chars.monomial(pt.t, e) / pt.s_delta**n,
                                               rel=1e-14, abs=0.0)
 
@@ -629,3 +634,116 @@ def test_measure_json_and_kernel_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "lambda,mu,probability"
     assert len(lines) == 1 + 1 + 2  # one row from 0, two rows from omega1
+
+
+# -- the law evaluators against the formulas they replaced -----------------------
+
+
+def _reference_exponent(cartan, delta, w, n, gamma):
+    # alpha(n delta - w gamma) through apply and int_alpha_coords
+    wg = cartan.apply(w, gamma)
+    return cartan.int_alpha_coords(tuple(n * d - x for d, x in zip(delta, wg)))
+
+
+def _reference_law_value(t, e, n, s_delta, log_factor=0.0):
+    # every log recomputed per call
+    if any(k and ti == 0.0 for ti, k in zip(t, e)):
+        return 0.0
+    try:
+        return math.exp(log_factor - (n * math.log(s_delta) if s_delta != 1.0 else 0.0)
+                        + sum(k * math.log(ti) for ti, k in zip(t, e) if k and ti != 1.0))
+    except OverflowError:
+        return 0.0
+
+
+def _reference_psi(point, gamma, n):
+    cartan = point.cartan
+    check_rank(cartan, gamma)
+    g = int_weight(gamma)
+    below = None if g is None else \
+        _reference_exponent(cartan, point.delta, cartan.identity, n, cartan.descend(g)[0])
+    if below is None or min(below) < 0:
+        raise NotAWeight(f"{format_weight(gamma)} is not a weight at level {n}")
+    e = _reference_exponent(cartan, point.delta, point.w, n, g)
+    return _reference_law_value(point.t, e, n, point.s_delta)
+
+
+def _reference_p(meas, lam, n):
+    cartan, point = meas.cartan, meas.point
+    if meas.kind == "free":
+        return _reference_psi(point, lam, n)
+    top = chars.check_weight(cartan, lam)
+    ndelta = tuple(n * c for c in meas.delta)
+    shift = cartan.int_alpha_coords(tuple(m - c for m, c in zip(ndelta, top)))
+    if shift is None or any(k < 0 for k in shift):
+        raise OrderViolation(
+            f"{format_weight(ndelta)} is not >= {format_weight(top)} in the root order")
+    num = meas.chamber_kernel.numerator
+    return _reference_law_value(point.t, shift, n, point.s_delta,
+                                math.log(num(top) / num((0,) * len(top))))
+
+
+def _reference_free_row(point, lam):
+    check_rank(point.cartan, lam)
+    start = int_weight(lam)
+    if start is None:
+        raise NotAWeight(f"{format_weight(lam)} is not an integral weight")
+    _, _, mults = chars._module_table(point.cartan, point.delta)
+    return {wadd(start, g): q for k, (g, mono) in zip(mults, point.monomials.items())
+            if (q := k * mono / point.s_delta)}
+
+
+def _outcome(law, *args):
+    try:
+        return law(*args)
+    except WeylWalksError as exc:
+        return type(exc).__name__, str(exc)
+
+
+LAW_CASES = [
+    (A2, (1, 1), [(0.3, 0.6), (1.0, 0.45), (0.6, 0.0), (0.0, 0.0), (1.0, 1.0)]),
+    (B2, (1, 0), [(0.3, 0.6), (0.45, 1.0), (0.6, 0.0), (0.0, 0.0), (1.0, 1.0)]),
+    (G2, (1, 0), [(0.3, 0.6), (1.0, 0.35), (0.6, 0.0), (0.0, 0.0), (1.0, 1.0)]),
+    (build_root_system("A", 3), (1, 0, 0),
+     [(0.3, 0.6, 0.8), (0.5, 1.0, 0.25), (0.5, 0.3, 0.0), (0.0, 0.0, 0.0)]),
+]
+
+
+@pytest.mark.parametrize("cartan, delta, ts", LAW_CASES,
+                         ids=[f"{c.family}{c.rank}" for c, _, _ in LAW_CASES])
+def test_law_evaluators_match_the_per_call_formulas_bitwise(cartan, delta, ts):
+    # interior, t_i = 1, face, vertex and t = 1 points, each with w = identity
+    # and with a w != identity; every growth-graph weight to level 5 and weights
+    # that raise NotAWeight, InvalidWeight or OrderViolation
+    rank = cartan.rank
+    odd = (Fraction(1, 2),) + (0,) * (rank - 1)
+    for t in ts:
+        for w in (cartan.identity, cartan.element_of_word((1, 0))):
+            point = boundary_point(cartan, delta, t, w, canonicalize=True)
+            kinds = ["free"] + (["chamber"] if point.w == cartan.identity else [])
+            for kind in kinds:
+                meas = CentralMeasure(kind, point)
+                graph = build_growth_graph(cartan, kind, delta, 5)
+                calls = [(lam, n) for n in range(6) for lam in graph.levels[n]]
+                calls += [(tuple(n * c for c in delta), n) for n in (400, 10**400 + 1)]
+                calls += [(odd, 2), ((1,) * (rank + 1), 2), ((-1,) + (0,) * (rank - 1), 1),
+                          (tuple(3 * c for c in delta), 2), ((0,) * rank, 1)]
+                for lam, n in calls:
+                    # free p is psi_eval
+                    assert _outcome(meas.p, lam, n) == _outcome(_reference_p, meas, lam, n), \
+                        (t, w.word, kind, lam, n)
+                    if kind == "free":
+                        assert _outcome(meas.kernel_row, lam) == \
+                            _outcome(_reference_free_row, point, lam)
+
+
+@pytest.mark.parametrize("cartan, delta, ts", LAW_CASES,
+                         ids=[f"{c.family}{c.rank}" for c, _, _ in LAW_CASES])
+def test_free_exponent_matches_apply_and_root_coordinates(cartan, delta, ts):
+    rng = np.random.default_rng(7)
+    for w in cartan.elements:
+        for _ in range(10):
+            gamma = tuple(int(x) for x in rng.integers(-9, 10, cartan.rank))
+            n = int(rng.integers(0, 12))
+            assert chars.free_exponent(cartan, delta, w, n, gamma) == \
+                _reference_exponent(cartan, delta, w, n, gamma)

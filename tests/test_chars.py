@@ -3,6 +3,7 @@ decompositions with their exact oracles, total positivity."""
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +423,27 @@ def test_weyl_numerator_int64_limit(family, rank):
         assert num == pytest.approx(float(expected), rel=1e-12)
         with pytest.raises(InvalidWeight, match="overflows int64"):
             weyl_numerator_batch(cartan, [(0,) * (rank - 1) + (limit + 1,)], t)
+
+
+def test_weyl_numerator_pairing_product_past_binary64():
+    # at t = 1 an F4 numerator is one term, the product of 24 coroot pairings:
+    # near lambda = 10^14 it passes the float range well inside the int64 limit
+    # and is refused, naming the weight, without a RuntimeWarning
+    f4 = build_root_system("F", 4)
+    ones = (1.0,) * 4
+    small, big = (1000,) * 4, (10**14,) * 4
+    assert max(big) < chars._coset_pack(f4, (0, 1, 2, 3))[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidWeight, match=r"^the Weyl numerator of \(100000000000000, "
+                                                r"100000000000000, 100000000000000, "
+                                                r"100000000000000\) overflows binary64"):
+            weyl_numerator_batch(f4, [small, big], ones)
+        (num,) = weyl_numerator_batch(f4, [small], ones)
+    shifted = wadd(small, f4.rho)
+    expected = math.prod(2 * f4.pairing(shifted, a) / f4.pairing(a, a)
+                         for a in f4.positive_roots)
+    assert num == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_weyl_numerator_float_sum_is_exact_on_faces(monkeypatch):

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -14,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from weylwalks import build_root_system, invert_drift
 from weylwalks.cli import main, parse
 from weylwalks.rootdata import cartan_type, dominant_representative
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -342,6 +347,24 @@ def test_chamber_weights_past_int64_are_domain_errors(capsys, lam, fmt):
     assert code == 2 and "Traceback" not in err
     doc = json.loads(out)
     assert doc["error"] == "InvalidWeight" and "overflows int64" in doc["detail"]
+
+
+@pytest.mark.parametrize("coord", [1000, 10**14])
+def test_pairing_products_past_binary64_are_domain_errors(coord):
+    # F4 at t = 1: N_lambda is the product of 24 coroot pairings, near 1e14 each
+    # at the larger weight, which passes the float range well inside int64
+    argv = ["measure", "eval", "--type", "F4", "--delta", "0,0,0,1", "--mode", "chamber",
+            "--m", "0,0,0,0", "--lambda", ",".join([str(coord)] * 4), "--n", str(10**16)]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "weylwalks.cli",
+                           *argv], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    if coord == 1000:
+        assert proc.returncode == 0 and doc["p"] == "0.0" and doc["kernel_row"]
+    else:
+        assert proc.returncode == 2 and doc["error"] == "InvalidWeight"
+        assert "overflows binary64" in doc["detail"]
 
 
 def test_crystal_dimension_cap_detail_prints_plain_weight(capsys):
