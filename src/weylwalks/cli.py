@@ -126,7 +126,15 @@ def parse(argv) -> argparse.Namespace:
     """argv -> validated namespace, coordinates broadcast to the rank; argparse
     exits with code 2 on bad usage."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # the token after a coordinate flag is its value, so that argparse does not
+    # take a list such as -0.2,0.1 for an option: glue it on as --m=-0.2,0.1
+    tokens = []
+    for token in argv:
+        if tokens and tokens[-1] in ("--delta", "--m", "--lambda"):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = parser.parse_args(tokens)
     if args.group == "verify":
         args.criteria = None
         if args.suite != "all":

@@ -104,94 +104,44 @@ def concat(a: PLPath, b: PLPath) -> PLPath:
 # -- root operators ------------------------------------------------------------
 
 
-def _height_profile(cartan, path, i):
-    """Breakpoint times and heights h(t) = <path(t), alpha_i^vee>."""
-    bps = path.breakpoints()
-    return [t for t, _ in bps], [p[i] for _, p in bps]
-
-
-def _split_at(segments, time):
-    """Segments split so that `time` is a breakpoint."""
-    out = []
-    t = Fraction(0)
-    for d, v in segments:
-        if t < time < t + d:
-            out.append((time - t, v))
-            out.append((t + d - time, v))
-        else:
-            out.append((d, v))
-        t += d
-    return out
-
-
 def root_operator(cartan: CartanDatum, path: PLPath, i: int, direction: str = "f"):
     """Littelmann root operator f_i or e_i; returns None where undefined.
 
-    Cut-reflect recipe on the coroot height h(t) = <path(t), alpha_i^vee>:
-    for f, reflect between the last minimum of h and the first subsequent
-    rise by 1; endpoint drops by alpha_i.  e is the mirror image.  Requires
-    integral minima (integral concatenations of crystal paths).
+    Cut-reflect recipe on the coroot height h(t) = <path(t), alpha_i^vee>
+    (Littelmann 1995).  h is linear between breakpoints, so its minimum m is
+    taken at a breakpoint, and one cut per segment, where h crosses m + 1
+    strictly inside it, makes every time of h = m or h = m + 1 that the recipe
+    needs a breakpoint.  f reflects from the last h = m to the next h = m + 1
+    and lowers the endpoint by alpha_i; e reflects from the last h = m + 1
+    before the first h = m up to that first h = m.  Requires an integral m
+    (integral concatenations of crystal paths).
     """
     if direction not in ("e", "f"):
         raise ValueError("direction must be 'e' or 'f'")
-    times, heights = _height_profile(cartan, path, i)
+    heights = [Fraction(0)]
+    for d, v in path.segments:
+        heights.append(heights[-1] + d * v[i])
     m = min(heights)
     if m.denominator != 1:
         raise ValueError("root operator needs integer height minima")
-    end = heights[-1]
-
-    def cross_after(t0, level):
-        # first time >= t0 with h = level, h reaching level from below
-        for k in range(len(times) - 1):
-            if times[k + 1] <= t0:
-                continue
-            h0, h1 = heights[k], heights[k + 1]
-            lo = max(times[k], t0)
-            hlo = h0 + (h1 - h0) * (lo - times[k]) / (times[k + 1] - times[k]) \
-                if times[k + 1] != times[k] else h0
-            if hlo <= level <= h1 and h1 != hlo:
-                return lo + (level - hlo) * (times[k + 1] - lo) / (h1 - hlo)
-            if hlo == level:
-                return lo
+    if direction == "f" and heights[-1] < m + 1 or direction == "e" and m > -1:
         return None
-
-    def cross_before(t0, level):
-        # last time <= t0 with h = level, h leaving level downwards
-        best = None
-        for k in range(len(times) - 1):
-            if times[k] >= t0:
-                break
-            h0, h1 = heights[k], heights[k + 1]
-            hi = min(times[k + 1], t0)
-            hhi = h0 + (h1 - h0) * (hi - times[k]) / (times[k + 1] - times[k])
-            if h0 >= level >= hhi and h0 != hhi:
-                best = times[k] + (h0 - level) * (hi - times[k]) / (h0 - hhi)
-            elif hhi == level:
-                best = hi
-        return best
-
-    if direction == "f":
-        if end - m < 1:
-            return None
-        t1 = max(t for t, h in zip(times, heights) if h == m)
-        t2 = cross_after(t1, m + 1)
-        assert t2 is not None
+    segs, cut = [], [heights[0]]  # the cut path and its breakpoint heights
+    for (d, v), h0, h1 in zip(path.segments, heights, heights[1:]):
+        if min(h0, h1) < m + 1 < max(h0, h1):
+            c = d * (m + 1 - h0) / (h1 - h0)
+            segs.append((c, v))
+            cut.append(m + 1)
+            d -= c
+        segs.append((d, v))
+        cut.append(h1)
+    if direction == "f":  # segs[a:b] is the stretch to reflect
+        a = max(k for k, h in enumerate(cut) if h == m)
+        b = cut.index(m + 1, a)
     else:
-        if m > -1:
-            return None
-        t2 = min(t for t, h in zip(times, heights) if h == m)
-        t1 = cross_before(t2, m + 1)
-        assert t1 is not None
-
-    segs = _split_at(_split_at(list(path.segments), t1), t2)
-    out = []
-    t = Fraction(0)
-    for d, v in segs:
-        if t1 <= t and t + d <= t2:
-            out.append((d, cartan.reflect(v, i)))
-        else:
-            out.append((d, v))
-        t += d
+        b = cut.index(m)
+        a = max(k for k in range(b) if cut[k] == m + 1)
+    out = segs[:a] + [(d, cartan.reflect(v, i)) for d, v in segs[a:b]] + segs[b:]
     result = PLPath(_normalize(out))
     shift = cartan.alpha[i] if direction == "e" else wscale(-1, cartan.alpha[i])
     assert result.endpoint() == wadd(path.endpoint(), shift)
@@ -468,13 +418,13 @@ def highest_weight_witness(cartan: CartanDatum, delta, subset, i: int,
     `subset` must be delta-admissible and contain i (NotAdmissible otherwise);
     existence is guaranteed, searched breadth-first over chamber levels.
     """
-    from .polytope import admissible_depths, is_admissible
+    from .polytope import admissible_depths
 
     delta = chars.check_weight(cartan, delta)
     subset = tuple(sorted(set(subset)))
-    if not is_admissible(cartan, delta, subset) or i not in subset:
-        raise NotAdmissible(f"subset {subset} with root {i} is not usable for {delta}")
     depths = admissible_depths(cartan, delta, subset)
+    if len(depths) != len(subset) or i not in depths:
+        raise NotAdmissible(f"subset {subset} with root {i} is not usable for {delta}")
     allowed = {j for j in subset if depths[j] < depths[i]}
     for n in range(1, n_cap + 1):
         g = build_growth_graph(cartan, "chamber", delta, n)

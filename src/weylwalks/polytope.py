@@ -107,46 +107,27 @@ class DominantFace:
         return _affine_rank(self.vertices)
 
 
-def is_admissible(cartan: CartanDatum, delta, subset) -> bool:
-    """Every Dynkin component of `subset` meets a root non-orthogonal to delta."""
-    subset = sorted(set(subset))
-    todo = set(subset)
-    while todo:
-        comp = {todo.pop()}
-        grow = True
-        while grow:
-            grow = False
-            for j in list(todo):
-                if any(cartan.cartan[j][k] != 0 for k in comp):
-                    comp.add(j)
-                    todo.discard(j)
-                    grow = True
-        if all(delta[j] == 0 for j in comp):
-            return False
-    return True
-
-
 def admissible_depths(cartan: CartanDatum, delta, subset) -> dict:
     """Depth of each root in `subset`: length of its shortest Dynkin subchain
-    inside `subset` ending at a root non-orthogonal to delta."""
-    subset = sorted(set(subset))
-    depths = {}
+    inside `subset` ending at a root non-orthogonal to delta.  A breadth-first
+    search from those roots; indices it does not reach (outside range(rank),
+    or on a component orthogonal to delta) get no depth."""
+    subset = [j for j in sorted(set(subset)) if j in range(cartan.rank)]
+    depths, level = {}, 0
     frontier = [j for j in subset if delta[j] != 0]
-    for j in frontier:
-        depths[j] = 1
-    level = 1
     while frontier:
         level += 1
-        nxt = []
-        for j in subset:
-            if j in depths:
-                continue
-            if any(cartan.cartan[j][k] != 0 for k in frontier):
-                depths[j] = level
-                nxt.append(j)
-        frontier = nxt
-    assert set(depths) == set(subset), "subset must be admissible"
+        depths.update(dict.fromkeys(frontier, level))
+        frontier = [j for j in subset if j not in depths
+                    and any(cartan.cartan[j][k] != 0 for k in frontier)]
     return depths
+
+
+def is_admissible(cartan: CartanDatum, delta, subset) -> bool:
+    """The depth search reaches every index of `subset`: each Dynkin component
+    of it meets a root non-orthogonal to delta."""
+    subset = set(subset)
+    return len(admissible_depths(cartan, delta, subset)) == len(subset)
 
 
 def admissible_subsets(cartan: CartanDatum, delta) -> list:
@@ -157,11 +138,9 @@ def admissible_subsets(cartan: CartanDatum, delta) -> list:
     out = []
     for r in range(cartan.rank + 1):
         for subset in combinations(range(cartan.rank), r):
-            if is_admissible(cartan, delta, subset):
-                out.append(AdmissibleSet(
-                    indices=subset,
-                    depths=admissible_depths(cartan, delta, subset),
-                ))
+            depths = admissible_depths(cartan, delta, subset)
+            if len(depths) == r:
+                out.append(AdmissibleSet(indices=subset, depths=depths))
     return out
 
 

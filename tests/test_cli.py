@@ -39,6 +39,21 @@ def test_parse_drift_invert_mixed_coordinates():
     assert args.m[1] == Fraction(1, 10)
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["drift", "invert", "--type", "A2", "--delta", "1,0"], "--m", "-0.2,0.1"),
+    (["drift", "invert", "--type", "A2", "--delta", "1,0"], "--m", "-1/5,1/10"),
+    (["measure", "eval", "--type", "A2", "--delta", "1,0", "--mode", "free",
+      "--m", "0.2,0.1"], "--lambda", "-1,1"),
+    (["measure", "eval", "--type", "A2", "--delta", "1,0", "--mode", "chamber",
+      "--m", "0.2,0.1"], "--lambda", "-1,0"),
+    (["polytope", "faces", "--type", "A2"], "--delta", "-1,0"),
+])
+def test_coordinate_lists_may_start_with_a_minus_sign(capsys, argv, flag, value):
+    glued = run_cli(capsys, *argv, f"{flag}={value}")
+    assert run_cli(capsys, *argv, flag, value) == glued
+    assert glued[1].startswith("{")
+
+
 def test_parse_bad_type_token_names_it(capsys):
     with pytest.raises(SystemExit) as exc:
         parse(["root", "info", "--type", "Z9"])

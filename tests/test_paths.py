@@ -1,6 +1,7 @@
 """Littelmann paths: root operators, crystal generation, growth-graph counts
 against brute-force and convolution oracles, Pitman transforms, witnesses."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -89,6 +90,125 @@ def test_operator_shifts_endpoint_by_root():
         diff = wadd(cb.paths[dst].endpoint(),
                     weight([-x for x in cb.paths[src].endpoint()]))
         assert diff == weight([-x for x in G2.alpha[i]])
+
+
+def _reference_root_operator(cartan, path, i, direction="f"):
+    """The earlier root operator, by crossing searches on the breakpoint times."""
+    if direction not in ("e", "f"):
+        raise ValueError("direction must be 'e' or 'f'")
+    bps = path.breakpoints()
+    times, heights = [t for t, _ in bps], [p[i] for _, p in bps]
+    m = min(heights)
+    if m.denominator != 1:
+        raise ValueError("root operator needs integer height minima")
+    end = heights[-1]
+
+    def cross_after(t0, level):
+        for k in range(len(times) - 1):
+            if times[k + 1] <= t0:
+                continue
+            h0, h1 = heights[k], heights[k + 1]
+            lo = max(times[k], t0)
+            hlo = h0 + (h1 - h0) * (lo - times[k]) / (times[k + 1] - times[k]) \
+                if times[k + 1] != times[k] else h0
+            if hlo <= level <= h1 and h1 != hlo:
+                return lo + (level - hlo) * (times[k + 1] - lo) / (h1 - hlo)
+            if hlo == level:
+                return lo
+        return None
+
+    def cross_before(t0, level):
+        best = None
+        for k in range(len(times) - 1):
+            if times[k] >= t0:
+                break
+            h0, h1 = heights[k], heights[k + 1]
+            hi = min(times[k + 1], t0)
+            hhi = h0 + (h1 - h0) * (hi - times[k]) / (times[k + 1] - times[k])
+            if h0 >= level >= hhi and h0 != hhi:
+                best = times[k] + (h0 - level) * (hi - times[k]) / (h0 - hhi)
+            elif hhi == level:
+                best = hi
+        return best
+
+    def split_at(segments, time):
+        out, t = [], Fraction(0)
+        for d, v in segments:
+            if t < time < t + d:
+                out += [(time - t, v), (t + d - time, v)]
+            else:
+                out.append((d, v))
+            t += d
+        return out
+
+    if direction == "f":
+        if end - m < 1:
+            return None
+        t1 = max(t for t, h in zip(times, heights) if h == m)
+        t2 = cross_after(t1, m + 1)
+    else:
+        if m > -1:
+            return None
+        t2 = min(t for t, h in zip(times, heights) if h == m)
+        t1 = cross_before(t2, m + 1)
+    out, t = [], Fraction(0)
+    for d, v in split_at(split_at(list(path.segments), t1), t2):
+        out.append((d, cartan.reflect(v, i)) if t1 <= t and t + d <= t2 else (d, v))
+        t += d
+    return make_path(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# every fundamental weight and (1, ..., 1) of each supported type with
+# dim V(delta) <= 700, and multiples on rank 2
+OPERATOR_CASES = [
+    (cartan, delta)
+    for cartan in (build_root_system(f, r) for f, r in (
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+        ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)))
+    for delta in dict.fromkeys(
+        [tuple(int(j == k) for j in range(cartan.rank)) for k in range(cartan.rank)]
+        + [(1,) * cartan.rank]
+        + ([(2, 0), (0, 2), (2, 2)] if cartan.rank == 2 else []))
+    if weyl_dim(cartan, delta) <= 700
+]
+
+
+@pytest.mark.parametrize("cartan,delta", OPERATOR_CASES,
+                         ids=[f"{c.family}{c.rank}-{d}" for c, d in OPERATOR_CASES])
+def test_root_operator_matches_the_crossing_search_reference(cartan, delta):
+    """f and e for every i on every letter, on random 2-5 letter words, and on
+    words behind a rational straight prefix (non-integral minima included)."""
+    rng = random.Random(repr(delta) + cartan.family)
+    letters = crystal(cartan, delta).paths
+    words = [concat(letters[rng.randrange(len(letters))],
+                    word_path(cartan, delta, [rng.randrange(len(letters))
+                                              for _ in range(rng.randint(1, 4))]))
+             for _ in range(10)]
+    prefixed = [concat(straight_path(letters[rng.randrange(len(letters))].endpoint(), q),
+                       letters[rng.randrange(len(letters))])
+                for q in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2))]
+    for path in (*letters, *words, *prefixed):
+        for i in range(cartan.rank):
+            for direction in "fe":
+                assert _outcome(root_operator, cartan, path, i, direction) == \
+                    _outcome(_reference_root_operator, cartan, path, i, direction)
+    for bad in ("x", "F"):
+        assert _outcome(root_operator, cartan, letters[0], 0, bad) == \
+            _outcome(_reference_root_operator, cartan, letters[0], 0, bad)
+
+
+def test_root_operator_on_the_empty_path_is_undefined():
+    for cartan in (A1, A2, G2):
+        for i in range(cartan.rank):
+            assert root_operator(cartan, make_path([]), i, "f") is None
+            assert root_operator(cartan, make_path([]), i, "e") is None
 
 
 # -- crystals ---------------------------------------------------------------------
@@ -380,6 +500,12 @@ def test_witness_empty_subset_rejected():
         highest_weight_witness(A2, (1, 0), (), 0)
     with pytest.raises(NotAdmissible):
         highest_weight_witness(A2, (1, 0), (1,), 1)  # {alpha_2} not admissible
+
+
+@pytest.mark.parametrize("subset", [(0, -1), (0, 2), (-2, 0)])
+def test_witness_rejects_indices_outside_the_rank(subset):
+    with pytest.raises(NotAdmissible):
+        highest_weight_witness(A2, (1, 0), subset, 0)
 
 
 @pytest.mark.parametrize("cartan,delta", SUITE)

@@ -155,6 +155,12 @@ def test_is_admissible_edge_cases():
     assert is_admissible(G2, weight((1, 0)), (0, 1))
 
 
+def test_indices_outside_the_rank_are_not_admissible():
+    assert not is_admissible(A2, (1, 0), (2,))
+    assert not is_admissible(A2, (1, 0), (-1, 0))
+    assert admissible_depths(A2, (1, 0), (-1, 0)) == {0: 1}
+
+
 # -- dominant faces -------------------------------------------------------------------
 
 
