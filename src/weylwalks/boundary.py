@@ -80,7 +80,7 @@ class BoundaryPoint:
 
     @cached_property
     def s_delta(self) -> float:
-        return chars.evaluate_S(self.cartan, self.delta, self.delta, self.t)
+        return chars.evaluate_S(self.cartan, self.delta, self.t)
 
     @cached_property
     def log_s_delta(self) -> float:
@@ -480,7 +480,7 @@ def s_hat_t(cartan: CartanDatum, delta, t) -> float:
         raise ValueError(f"t = {t} has wrong rank")
     if any(x == 0.0 for x in t):
         return math.inf
-    s = chars.evaluate_S(cartan, delta, delta, t)
+    s = chars.evaluate_S(cartan, delta, t)
     t_delta = chars.monomial(t, cartan.alpha_coords(delta))
     return s / t_delta if t_delta else math.inf
 

@@ -1,13 +1,14 @@
 """Characters as weight multisets: Freudenthal multiplicities, Weyl dimensions,
-evaluation of the shifted characters S_{lambda,mu}, tensor and exterior-power
+evaluation of the character S_delta(t), tensor and exterior-power
 decompositions, and the Toeplitz-minor total-positivity check.
 
 The combinatorial layer (multiplicities, decompositions, the one table of a
 module, _module_table) is exact integer arithmetic; evaluations at a parameter
 vector t in [0,1]^d are binary64 with the convention 0**0 = 1, so boundary
 parameters are safe.  Weyl numerators (weyl_numerator_batch) read one int
-table of terms per weight, an alternating sum over the coset representatives
-of W_I\\W: exponent rows, signs and coroot pairings.  The table is summed in
+table of terms per weight, an alternating sum over the minimal coset
+representatives of W_I\\W (by the sign test: the u with u(rho)_i > 0 for i in
+I): exponent rows, signs and coroot pairings.  The table is summed in
 binary64, or, when that sum cancels, in integers and rounded once.  numpy is
 imported inside the float evaluators only (evaluate_S, the Toeplitz minors,
 _coset_pack, weyl_numerator_batch), which build their arrays from the int
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DEFAULT_DIM_CAP, DimensionCap, InvalidWeight, OrderViolation, format_weight
-from .rootdata import CartanDatum, WeylElement, check_rank, int_weight, minimal_coset_rep, \
-    wadd, wsub
+from .errors import DEFAULT_DIM_CAP, DimensionCap, InvalidWeight, format_weight
+from .rootdata import CartanDatum, WeylElement, check_rank, int_weight, wadd, wsub
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ def _module_table(cartan, lam):
     """The one table of V(lambda), lambda an int tuple: (weights, exponents,
     multiplicities), one row per weight gamma in sorted order, gamma an int
     tuple, its exponent alpha(lambda - gamma) an int tuple and its multiplicity
-    an int.  S_{lambda,mu} adds alpha(mu - lambda) to every exponent row.  No
-    dimension-cap check: callers pass lambda through check_weight with the cap."""
+    an int.  No dimension-cap check: callers pass lambda through check_weight
+    with the cap."""
     rows = sorted(_weight_multiplicities(cartan, lam).entries.items())
     weights = tuple(gamma for gamma, _ in rows)
     exps = tuple(cartan.int_alpha_coords(wsub(lam, gamma)) for gamma in weights)
@@ -166,25 +166,18 @@ def monomial(t, exponents) -> float:
     return out
 
 
-def evaluate_S(cartan: CartanDatum, lam, mu, t) -> float:
-    """S_{lambda,mu}(t) = sum_gamma K_{lambda,gamma} t^(mu - gamma).
+def evaluate_S(cartan: CartanDatum, delta, t) -> float:
+    """S_delta(t) = sum_gamma K_{delta,gamma} t^(delta - gamma).
 
-    Requires mu - lambda in Q+ (OrderViolation otherwise); the gamma = lambda
-    term contributes t^(mu-lambda), so the value equals dim V(lambda) at t = 1
-    and is 1 at mu = lambda, t = 0 under the 0**0 = 1 convention.  Raises
-    DimensionCap before building the table of a module over DEFAULT_DIM_CAP.
+    The value is dim V(delta) at t = 1 and 1 at t = 0 under the 0**0 = 1
+    convention.  Raises DimensionCap before building the table of a module
+    over DEFAULT_DIM_CAP.
     """
     import numpy as np
 
-    top = check_weight(cartan, lam, DEFAULT_DIM_CAP)
-    mu_int = int_weight(mu)
-    shift = None if mu_int is None else free_exponent(cartan, mu_int, cartan.identity, 1, top)
-    if shift is None or min(shift) < 0:
-        raise OrderViolation(
-            f"{format_weight(mu)} is not >= {format_weight(top)} in the root order")
-    exps, mults = _table_arrays(cartan, top)
+    exps, mults = _table_arrays(cartan, check_weight(cartan, delta, DEFAULT_DIM_CAP))
     tv = np.asarray([float(x) for x in t], dtype=float)
-    return float(np.dot(mults, np.prod(tv ** (exps + shift), axis=1)))
+    return float(np.dot(mults, np.prod(tv ** exps, axis=1)))
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +193,8 @@ def free_exponent(cartan: CartanDatum, delta, w: WeylElement, n: int, gamma):
     """alpha(n delta - w gamma) as ints for int tuples delta and gamma; None when
     it is off the root lattice.  The one exponent map of the package: psi(t,w)
     (e^gamma, n) and the wedge sequence read it, and with w = identity it is
-    the shift alpha(mu - lambda) of S_{lambda,mu} (chamber p, evaluate_S).  One
-    divmod per coordinate, on int rows cached per (cartan, delta, w)."""
+    the exponent alpha(n delta - lambda) of chamber p.  One divmod per
+    coordinate, on int rows cached per (cartan, delta, w)."""
     den = cartan._alpha_den
     out = []
     for d, w_row in _exponent_rows(cartan, delta, w.matrix):
@@ -314,7 +307,7 @@ def wedge_sequence_values(cartan: CartanDatum, delta, t, w: WeylElement) -> list
     """
     delta = check_weight(cartan, delta)
     n = _weyl_dim(cartan, delta)
-    s_delta = evaluate_S(cartan, delta, delta, t)
+    s_delta = evaluate_S(cartan, delta, t)
     tv = [float(x) for x in t]
     out = []
     for k in range(n + 1):
@@ -381,8 +374,8 @@ def _coset_pack(cartan, ones):
     |coordinate| of lambda for which lambda + rho keeps those products in int64."""
     import numpy as np
 
-    reps = tuple(dict.fromkeys(minimal_coset_rep(cartan, w, ones)
-                               for w in cartan.elements))
+    # u is minimal in W_I u iff <u(rho), alpha_i^vee> > 0 for i in I
+    reps = [u for u in cartan.elements if all(cartan.apply(u, cartan.rho)[i] > 0 for i in ones)]
     units = [tuple(int(i == j) for j in range(cartan.rank)) for i in range(cartan.rank)]
     images = np.array([[cartan.apply(u, e) for u in reps] for e in units], dtype=np.int64)
     lifts = np.array([[cartan.int_alpha_coords(wsub(e, cartan.apply(u, e))) for u in reps]

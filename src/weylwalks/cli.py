@@ -126,11 +126,13 @@ def parse(argv) -> argparse.Namespace:
     """argv -> validated namespace, coordinates broadcast to the rank; argparse
     exits with code 2 on bad usage."""
     parser = build_parser()
-    # the token after a coordinate flag is its value, so that argparse does not
-    # take a list such as -0.2,0.1 for an option: glue it on as --m=-0.2,0.1
+    # the token after a coordinate flag, or an abbreviation of one that argparse
+    # accepts, is its value, so that argparse does not take a list such as
+    # -0.2,0.1 for an option: glue it on as --m=-0.2,0.1
     tokens = []
     for token in argv:
-        if tokens and tokens[-1] in ("--delta", "--m", "--lambda"):
+        if tokens and len(tokens[-1]) >= 3 and any(
+                flag.startswith(tokens[-1]) for flag in ("--delta", "--m", "--lambda")):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

@@ -135,13 +135,18 @@ def admissible_subsets(cartan: CartanDatum, delta) -> list:
     sorted by (cardinality, indices).  The empty set is always included."""
     if all(c == 0 for c in delta):
         raise InvalidWeight("delta must be nonzero")
+    return list(_admissible_subsets(cartan, tuple(delta)))
+
+
+@lru_cache(maxsize=None)
+def _admissible_subsets(cartan, delta):
     out = []
     for r in range(cartan.rank + 1):
         for subset in combinations(range(cartan.rank), r):
             depths = admissible_depths(cartan, delta, subset)
             if len(depths) == r:
                 out.append(AdmissibleSet(indices=subset, depths=depths))
-    return out
+    return tuple(out)
 
 
 def _affine_rank(points) -> int:

@@ -6,8 +6,9 @@ weights of a module, lattice points of a walk) are tuples of ints; Fractions
 are kept for rational points (path breakpoints, drifts, polytope location).
 Weyl-group elements act by integer matrices on these coordinates.  |W| comes
 from the heights of the positive roots, and the whole group is enumerated on
-first use (desk scale: rank <= 4, |W| <= 2000), which makes length, coset and
-orbit queries trivial and exactly testable.
+first use (desk scale: rank <= 4, |W| <= 2000).  W acts freely on the orbit
+of the regular weight rho, so w(rho) names w: a word, a product or a coset
+representative is one reflection loop or descent on rho and one dict lookup.
 """
 
 from __future__ import annotations
@@ -103,14 +104,6 @@ class WeylElement:
 
 def _mat_apply(matrix, v):
     return tuple(sum(map(operator.mul, row, v)) for row in matrix)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _identity_matrix(n):
@@ -227,14 +220,6 @@ class CartanDatum:
             tuple(sum(c[k][i] * gc[k][j] for k in range(rank)) for j in range(rank))
             for i in range(rank)
         )
-        self._simple_reflections = tuple(
-            tuple(
-                tuple((1 if k == j else 0) - (self.alpha[i][k] if j == i else 0)
-                      for j in range(rank))
-                for k in range(rank)
-            )
-            for i in range(rank)
-        )
         self.positive_roots = self._generate_positive_roots()
         self.rho = (1,) * rank
         half_sum = wscale(Fraction(1, 2), reduce(wadd, self.positive_roots))
@@ -310,17 +295,8 @@ class CartanDatum:
     # -- construction helpers -------------------------------------------
 
     def _generate_positive_roots(self):
-        roots = set(self.alpha)
-        frontier = list(self.alpha)
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                for i in range(self.rank):
-                    img = self.reflect(beta, i)
-                    if img not in roots:
-                        roots.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        # every root is a W-image of a simple root
+        roots = set().union(*map(self.orbit, self.alpha))
         pos = [r for r in roots if all(c >= 0 for c in self.int_alpha_coords(r))]
         assert 2 * len(pos) == len(roots)
         return tuple(sorted(pos))
@@ -353,21 +329,20 @@ class CartanDatum:
 
     @cached_property
     def _index(self) -> dict:
-        return {w.matrix: k for k, w in enumerate(self.elements)}
+        """w(rho) -> w: rho is regular, so its image names the element."""
+        return {self.apply(w, self.rho): w for w in self.elements}
 
     # -- group queries ----------------------------------------------------
 
-    def element_of_matrix(self, matrix) -> WeylElement:
-        return self.elements[self._index[matrix]]
-
     def element_of_word(self, word) -> WeylElement:
-        mat = _identity_matrix(self.rank)
-        for i in word:
-            mat = _mat_mul(mat, self._simple_reflections[i])
-        return self.element_of_matrix(mat)
+        """s_{word[0]} ... s_{word[-1]}, found by its image of rho."""
+        v = self.rho
+        for i in reversed(tuple(word)):
+            v = self.reflect(v, i)
+        return self._index[v]
 
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.element_of_matrix(_mat_mul(a.matrix, b.matrix))
+        return self._index[self.apply(a, self.apply(b, self.rho))]
 
     def det(self, w: WeylElement) -> int:
         return -1 if w.length % 2 else 1
@@ -456,6 +431,6 @@ def dominant_representative(cartan: CartanDatum, x: Weight):
 def minimal_coset_rep(cartan: CartanDatum, w: WeylElement, indices) -> WeylElement:
     """Minimal-length representative u of the right coset W_{indices} w: the one
     with <u(rho), alpha_i^vee> > 0 for i in indices, so u = v w with v the
-    reflections that the descent of w(rho) at those walls applies."""
-    _, applied = cartan.descend(cartan.apply(w, cartan.rho), indices)
-    return cartan.multiply(cartan.element_of_word(reversed(applied)), w)
+    reflections that the descent of w(rho) at those walls applies, and u(rho)
+    is where that descent ends."""
+    return cartan._index[cartan.descend(cartan.apply(w, cartan.rho), indices)[0]]

@@ -301,10 +301,8 @@ def test_newton_gradient_matches_finite_differences():
             for k in range(cartan.rank):
                 up = u.copy(); up[k] += h
                 dn = u.copy(); dn[k] -= h
-                fd = (math.log(evaluate_S(cartan, delta, delta,
-                                          tuple(map(math.exp, up))))
-                      - math.log(evaluate_S(cartan, delta, delta,
-                                            tuple(map(math.exp, dn))))) / (2 * h)
+                fd = (math.log(evaluate_S(cartan, delta, tuple(map(math.exp, up))))
+                      - math.log(evaluate_S(cartan, delta, tuple(map(math.exp, dn))))) / (2 * h)
                 assert fd == pytest.approx(float(grad[k]), abs=1e-6)
 
 

@@ -54,6 +54,20 @@ def test_coordinate_lists_may_start_with_a_minus_sign(capsys, argv, flag, value)
     assert glued[1].startswith("{")
 
 
+@pytest.mark.parametrize("argv,flag,abbrev,value", [
+    (["measure", "eval", "--type", "A2", "--delta", "1,0", "--mode", "free",
+      "--m", "0.2,0.1"], "--lambda", "--lam", "-1,1"),
+    (["measure", "eval", "--type", "A2", "--delta", "1,0", "--mode", "chamber",
+      "--m", "0.2,0.1"], "--lambda", "--l", "-1,0"),
+    (["drift", "invert", "--type", "A2", "--m", "0.2,0.1"], "--delta", "--del", "-1,0"),
+    (["polytope", "faces", "--type", "A2"], "--delta", "--d", "-1,0"),
+])
+def test_abbreviated_coordinate_flags_take_a_minus_sign(capsys, argv, flag, abbrev, value):
+    glued = run_cli(capsys, *argv, f"{flag}={value}")
+    assert run_cli(capsys, *argv, abbrev, value) == glued
+    assert glued[1].startswith("{")
+
+
 def test_parse_bad_type_token_names_it(capsys):
     with pytest.raises(SystemExit) as exc:
         parse(["root", "info", "--type", "Z9"])

@@ -45,7 +45,7 @@ from weylwalks.paths import (
 )
 from weylwalks.rootdata import int_weight
 
-from test_chars import box_patterns
+from test_chars import box_patterns, shifted_S
 from test_paths import fraction_floors
 
 A1 = build_root_system("A", 1)
@@ -121,14 +121,14 @@ def test_chamber_stepper_matches_direct_kernel():
         g = build_growth_graph(cartan, "chamber", delta, 3)
         for t in box_patterns(cartan, delta, rng):
             meas = chamber_measure(cartan, delta, t)
-            s_delta = chars.evaluate_S(cartan, delta, delta, t)
+            s_delta = chars.evaluate_S(cartan, delta, t)
             for n in range(3):
                 for lam in g.levels[n]:
-                    s_lam = chars.evaluate_S(cartan, lam, lam, t)
+                    s_lam = chars.evaluate_S(cartan, lam, t)
                     target = tuple(a + b for a, b in zip(lam, delta))
                     direct = {}
                     for mu, letters in chamber_moves(cartan, delta, int_weight(lam)).items():
-                        val = len(letters) * chars.evaluate_S(cartan, mu, target, t) \
+                        val = len(letters) * shifted_S(cartan, mu, target, t) \
                             / (s_delta * s_lam)
                         if val:
                             direct[weight(mu)] = val

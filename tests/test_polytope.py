@@ -144,6 +144,27 @@ def test_regular_delta_gives_all_subsets(cartan, delta):
     assert len(admissible_subsets(cartan, delta)) == 2**cartan.rank
 
 
+def test_admissible_subsets_are_searched_once_per_delta(monkeypatch):
+    # locate reads the subsets of one search per (type, delta); each call of
+    # admissible_subsets still returns a fresh list
+    from weylwalks import polytope
+
+    points = [(0, 1, 0), (Fraction(1, 2), 0, 0), (0.1, 0.2, 0.3), (0, 0, 0)]
+    expected = [locate(B3, (0, 1, 0), m) for m in points]
+    polytope._admissible_subsets.cache_clear()
+    searches = []
+    real = polytope.admissible_depths
+    monkeypatch.setattr(polytope, "admissible_depths",
+                        lambda *args: searches.append(args) or real(*args))
+    for _ in range(3):
+        assert [locate(B3, (0, 1, 0), m) for m in points] == expected
+    assert len(searches) == 2**B3.rank
+    admissible_subsets(B3, (0, 1, 0)).clear()
+    assert [a.indices for a in admissible_subsets(B3, weight((0, 1, 0)))] == \
+        [(), (1,), (0, 1), (1, 2), (0, 1, 2)]
+    assert len(searches) == 2**B3.rank
+
+
 def test_depths_a2_omega1():
     depths = admissible_depths(A2, weight((1, 0)), (0, 1))
     assert depths == {0: 1, 1: 2}

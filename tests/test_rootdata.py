@@ -3,6 +3,7 @@
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,8 @@ from weylwalks import (
     weight,
     wzero,
 )
-from weylwalks.rootdata import _CLASSICAL, CartanDatum, _mat_apply, _mat_mul, cartan_type
+from weylwalks import chars
+from weylwalks.rootdata import _CLASSICAL, CartanDatum, _mat_apply, cartan_type
 
 CLASSICAL_CASES = [
     ("A", 1, 2, 1),
@@ -230,9 +232,23 @@ def test_dominant_representative_properties(tok, coords):
             assert c.multiply(c.element_of_word((i,)), w).length > w.length
 
 
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _simple_reflections(c):
+    """s_i as integer matrices on omega-coordinates: s_i = 1 - alpha_i e_i^T."""
+    return tuple(tuple(tuple(int(k == j) - (c.alpha[i][k] if j == i else 0)
+                             for j in range(c.rank)) for k in range(c.rank))
+                 for i in range(c.rank))
+
+
 def _reference_enumeration(c):
     """The Weyl group by matrix products, the rule the rank-one updates replace:
     breadth first over w -> w s_i with l(w s_i) > l(w), inverses s_i w^-1."""
+    refl = _simple_reflections(c)
     ident = tuple(tuple(int(i == j) for j in range(c.rank)) for i in range(c.rank))
     elements, inverses, index = [(ident, ())], [ident], {ident: 0}
     frontier = [0]
@@ -243,11 +259,11 @@ def _reference_enumeration(c):
             for i in range(c.rank):
                 if min(c.int_alpha_coords(_mat_apply(mat, c.alpha[i]))) < 0:
                     continue
-                new = _mat_mul(mat, c._simple_reflections[i])
+                new = _mat_mul(mat, refl[i])
                 if new not in index:
                     index[new] = len(elements)
                     elements.append((new, word + (i,)))
-                    inverses.append(_mat_mul(c._simple_reflections[i], inverses[idx]))
+                    inverses.append(_mat_mul(refl[i], inverses[idx]))
                     nxt.append(index[new])
         frontier = nxt
     return elements, tuple(index[m] for m in inverses)
@@ -259,11 +275,81 @@ def test_weyl_enumeration_matches_matrix_products(token):
     c = cartan_type(token)
     elements, inverse_index = _reference_enumeration(c)
     assert [(w.matrix, w.word) for w in c.elements] == elements
-    assert c._index == {mat: k for k, (mat, _) in enumerate(elements)}
+    # each element is keyed by its image of rho
+    assert c._index == {_mat_apply(mat, c.rho): w for w, (mat, _) in zip(c.elements, elements)}
     # w^-1 read from the reversed word
-    assert tuple(c._index[c.element_of_word(reversed(w.word)).matrix]
+    position = {mat: k for k, (mat, _) in enumerate(elements)}
+    assert tuple(position[c.element_of_word(reversed(w.word)).matrix]
                  for w in c.elements) == inverse_index
     # w0_word is a reduced word of the reference's longest element, its last one
     w0, w0_word = elements[-1]
-    product = functools.reduce(_mat_mul, (c._simple_reflections[i] for i in c.w0_word))
+    product = functools.reduce(_mat_mul, (_simple_reflections(c)[i] for i in c.w0_word))
     assert product == w0 and len(c.w0_word) == len(w0_word) == len(c.positive_roots)
+
+
+class _MatrixQueries:
+    """The Weyl-group queries by integer matrix products and a lookup by matrix,
+    the rule the lookups by w(rho) replace."""
+
+    def __init__(self, c):
+        self.c, self.refl = c, _simple_reflections(c)
+        self.by_matrix = {w.matrix: w for w in c.elements}
+
+    def element_of_word(self, word):
+        return self.by_matrix[functools.reduce(_mat_mul, (self.refl[i] for i in word),
+                                               self.c.identity.matrix)]
+
+    def multiply(self, a, b):
+        return self.by_matrix[_mat_mul(a.matrix, b.matrix)]
+
+    def minimal_coset_rep(self, w, indices):
+        _, applied = self.c.descend(self.c.apply(w, self.c.rho), indices)
+        return self.multiply(self.element_of_word(reversed(applied)), w)
+
+    def coset_pack(self, ones):
+        """chars._coset_pack from the minimal representatives of every element,
+        de-duplicated in enumeration order."""
+        c = self.c
+        reps = tuple(dict.fromkeys(self.minimal_coset_rep(w, ones) for w in c.elements))
+        units = [tuple(int(i == j) for j in range(c.rank)) for i in range(c.rank)]
+        images = np.array([[c.apply(u, e) for u in reps] for e in units], dtype=np.int64)
+        lifts = np.array([[c.int_alpha_coords(tuple(a - b for a, b in zip(e, c.apply(u, e))))
+                           for u in reps] for e in units], dtype=np.int64)
+        dets = np.array([float(c.det(u)) for u in reps])
+        coroots = tuple(
+            tuple(int(2 * c.pairing(e, a) / c.pairing(a, a)) for e in units)
+            for a in c.positive_roots
+            if all(x == 0 for k, x in enumerate(c.alpha_coords(a)) if k not in ones))
+        guard = len(reps) * 2.0**-53 / (chars.ROW_TOL / 4)
+        images, lifts = images.reshape(c.rank, -1), lifts.reshape(c.rank, -1)
+        scale = np.abs(lifts).sum(axis=0).max(initial=1)
+        if coroots:
+            scale = max(scale, np.abs(images).sum(axis=0).max()
+                        * np.abs(coroots).sum(axis=1).max())
+        return images, lifts, dets, coroots, guard, (2**63 - 1) // int(scale) - 1
+
+
+@pytest.mark.parametrize("token", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                                   "D4", "G2", "F4"])
+def test_weyl_queries_match_matrix_products(token):
+    c = cartan_type(token)
+    ref = _MatrixQueries(c)
+    subsets = [s for r in range(c.rank + 1) for s in itertools.combinations(range(c.rank), r)]
+    gens = [c.element_of_word((i,)) for i in range(c.rank)]
+    assert gens == [ref.element_of_word((i,)) for i in range(c.rank)]
+    for w in c.elements:
+        inverse = c.element_of_word(reversed(w.word))
+        assert c.element_of_word(w.word) is w
+        assert inverse == ref.element_of_word(reversed(w.word))
+        for v in gens + [inverse, w]:
+            assert c.multiply(w, v) == ref.multiply(w, v)
+            assert c.multiply(v, w) == ref.multiply(v, w)
+        for sub in subsets:
+            assert minimal_coset_rep(c, w, sub) == ref.minimal_coset_rep(w, sub)
+    for ones in subsets:
+        pack, expected = chars._coset_pack(c, ones), ref.coset_pack(ones)
+        for got, want in zip(pack, expected):
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            else:
+                assert got == want
