@@ -5,8 +5,8 @@ The parametrized morphisms act as psi(t,w)(e^gamma, n) = t^(n delta - w gamma)
 the drift map (exact face location + damped Newton on the log-partition
 function of the face) realizes the homeomorphism between K(delta) and the
 minimal boundary.  Chamber measures are the w = identity slice, with
-p(lambda, n) = S_{lambda, n delta}(t) / S_delta(t)^n, evaluated through Weyl
-numerators (ChamberKernel), so no law builds a module beyond V(delta).
+p(lambda, n) = S_{lambda, n delta}(t) / S_delta(t)^n, evaluated through the
+measure's cached Weyl numerators, so no law builds a module beyond V(delta).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class BoundaryPoint:
       not in {0, 1}, in index order;
     - monomials, the free step law's t^(delta - w gamma), and from them
       step_law, its nonzero probabilities (gamma, K_gamma mono / S_delta),
-      and the drift.
+      the drift and letter_monomials, one per letter of B(delta).
     """
 
     def __init__(self, cartan: CartanDatum, delta, t, w: WeylElement):
@@ -103,6 +103,14 @@ class BoundaryPoint:
         rows = dict(zip(weights, exps))
         return {g: chars.monomial(self.t, rows[self.cartan.apply(self.w, g)])
                 for g in weights}
+
+    @cached_property
+    def letter_monomials(self) -> list:
+        """[t^(delta - w e_b)] over the letters b of B(delta), e_b the endpoint
+        (paths._letter_table): the chamber moves' coefficients and, over
+        S_delta, the free letter law."""
+        ends, _ = paths._letter_table(self.cartan, self.delta)
+        return [self.monomials[end] for end in ends]
 
     @cached_property
     def step_law(self) -> list:
@@ -307,34 +315,42 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
 
 @lru_cache(maxsize=None)
 def _two_step_offsets(cartan, delta):
-    """The steps of at most two letters of B(delta): 0, E and E + E, E the endpoints."""
-    ends = set(paths._letter_table(cartan, delta)[0]) | {(0,) * cartan.rank}
-    return tuple(sorted({wadd(a, b) for a in ends for b in ends}))
+    """(cap, offsets): cap the largest letter thresholds of B(delta)
+    (paths._letter_table), offsets the steps of at most two letters: 0, E and
+    E + E, E the endpoints."""
+    ends, thresholds = paths._letter_table(cartan, delta)
+    ends = set(ends) | {(0,) * cartan.rank}
+    return (tuple(map(max, zip(*thresholds))),
+            tuple(sorted({wadd(a, b) for a in ends for b in ends})))
 
 
-class ChamberKernel:
-    """The chamber law at a chamber point (w = identity, t in [0,1]^d): cached
-    rows, moves and numerators; the letter weights t^(delta - e_b) are the
-    point's free monomials (BoundaryPoint.monomials).
+class CentralMeasure:
+    """Evaluator p(lambda, n) and Markov kernel of an extremal central measure.
 
+    kind 'free': the walk on the full weight lattice with i.i.d. increments.
+    kind 'chamber': the dominant-chamber walk at a chamber point (w = identity,
+    t in [0,1]^d), time-homogeneous kernel
     Q(lam -> mu) = e t^(lam+delta-mu) S_{mu,mu}/(S_delta S_{lam,lam}) with
-    S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels.  Rows and
-    p read one numerator cache; a miss at lam fills every uncached dominant
-    weight within two letter steps of lam in one batch, so the first row out of
-    any target of lam makes no call.  Letter validity depends on lam only
-    through min(lam, cap), cap the largest thresholds (paths._letter_table), so
-    each clipped weight caches its moves (paths.chamber_moves): target offsets,
-    coefficients len(bs) t^(delta - e_b) and letter lists.
+    S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels.  Rows,
+    p and the sampler read one numerator cache; a miss at lam fills every
+    uncached dominant weight within two letter steps of lam in one batch, so
+    the first row out of any target of lam makes no call.  Letter validity
+    depends on lam only through min(lam, cap), cap the largest thresholds
+    (_two_step_offsets), so each clipped weight caches its moves
+    (paths.chamber_moves): target offsets, coefficients len(bs) t^(delta - e_b)
+    (BoundaryPoint.letter_monomials) and letter lists.
     """
 
-    def __init__(self, point: BoundaryPoint):
+    def __init__(self, kind: str, point: BoundaryPoint):
+        if kind not in ("free", "chamber"):
+            raise ValueError("kind must be 'free' or 'chamber'")
+        if kind == "chamber" and point.w != point.cartan.identity:
+            raise NotDominantDrift(
+                "chamber measures require a dominant drift (w = identity)")
+        self.kind = kind
         self.point = point
-        cartan, delta = point.cartan, point.delta
-        # t^(lam+delta-mu) only depends on the step mu-lam = a letter endpoint
-        ends, thresholds = paths._letter_table(cartan, delta)
-        self.letter_monomials = [point.monomials[end] for end in ends]
-        self.cap = tuple(map(max, zip(*thresholds)))
-        self.offsets = _two_step_offsets(cartan, delta)
+        self.cartan = point.cartan
+        self.delta = point.delta
         self.tables = {}
         self.numerators = {}
         self.patterns = {}
@@ -342,10 +358,10 @@ class ChamberKernel:
     def _fill(self, lam):
         """One batch for the uncached dominant weights within two steps of lam."""
         nums = self.numerators
-        new = [nu for off in self.offsets
+        new = [nu for off in _two_step_offsets(self.cartan, self.delta)[1]
                if (nu := tuple(map(operator.add, lam, off))) not in nums and min(nu) >= 0]
         nums.update(zip(new, chars.weyl_numerator_batch(
-            self.point.cartan, new, self.point.t).tolist()))
+            self.cartan, new, self.point.t).tolist()))
 
     def numerator(self, lam) -> float:
         """N_lam(t) for the int weight lam, from the shared cache."""
@@ -354,8 +370,8 @@ class ChamberKernel:
         return self.numerators[lam]
 
     def table(self, lam):
-        """Cached step table out of the int weight lam: (targets, probabilities,
-        CDF, letters).
+        """Cached chamber step table out of the int weight lam: (targets,
+        probabilities, CDF, letters).
 
         The CDF is the one `Generator.choice(n, p=probs)` builds, so
         bisect_right(cdf, rng.random()) draws the same target from the same
@@ -365,13 +381,13 @@ class ChamberKernel:
         if cached is not None:
             return cached
         pt = self.point
-        clipped = tuple(map(min, lam, self.cap))
+        clipped = tuple(map(min, lam, _two_step_offsets(self.cartan, self.delta)[0]))
         pattern = self.patterns.get(clipped)
         if pattern is None:
-            moves = sorted(paths.chamber_moves(pt.cartan, pt.delta, clipped).items())
+            moves = sorted(paths.chamber_moves(self.cartan, self.delta, clipped).items())
             pattern = self.patterns[clipped] = (
                 [wsub(mu, clipped) for mu, _ in moves],
-                [len(bs) * self.letter_monomials[bs[0]] for _, bs in moves],
+                [len(bs) * pt.letter_monomials[bs[0]] for _, bs in moves],
                 [bs for _, bs in moves])
         offsets, coefs, letters = pattern
         mus = [tuple(map(operator.add, lam, off)) for off in offsets]
@@ -391,28 +407,6 @@ class ChamberKernel:
         self.tables[lam] = out
         return out
 
-
-class CentralMeasure:
-    """Evaluator p(lambda, n) and Markov kernel of an extremal central measure.
-
-    kind 'free': the walk on the full weight lattice with i.i.d. increments;
-    kind 'chamber': the dominant-chamber walk, time-homogeneous kernel
-    Q(lam -> mu) = e(lam, mu) S_{mu, lam+delta}(t) / (S_delta(t) S_lam(t)),
-    read with p from the measure's ChamberKernel, which the sampler shares.
-    """
-
-    def __init__(self, kind: str, point: BoundaryPoint):
-        if kind not in ("free", "chamber"):
-            raise ValueError("kind must be 'free' or 'chamber'")
-        if kind == "chamber" and point.w != point.cartan.identity:
-            raise NotDominantDrift(
-                "chamber measures require a dominant drift (w = identity)")
-        self.kind = kind
-        self.point = point
-        self.cartan = point.cartan
-        self.delta = point.delta
-        self.chamber_kernel = ChamberKernel(point) if kind == "chamber" else None
-
     def p(self, lam, n: int) -> float:
         """Probability of any single length-n path ending at lam."""
         if self.kind == "free":
@@ -423,16 +417,16 @@ class CentralMeasure:
         if e is None or min(e) < 0:
             raise OrderViolation(f"{format_weight(tuple(n * c for c in self.delta))} "
                                  f"is not >= {format_weight(top)} in the root order")
-        num = self.chamber_kernel.numerator  # S_{lam,lam} = N_lam / N_0
+        num = self.numerator  # S_{lam,lam} = N_lam / N_0
         return _law_value(self.point, e, n, math.log(num(top) / num((0,) * len(top))))
 
     def kernel_row(self, lam) -> dict:
         """Transition probabilities out of lam (from any level, homogeneous),
-        keyed by int tuples; a chamber row is its ChamberKernel table.  lam
-        must have the right rank (InvalidWeight), be integral (NotAWeight) and,
-        for a chamber row, dominant (InvalidWeight)."""
+        keyed by int tuples; a chamber row is its step table.  lam must have
+        the right rank (InvalidWeight), be integral (NotAWeight) and, for a
+        chamber row, dominant (InvalidWeight)."""
         if self.kind == "chamber":
-            mus, probs, _, _ = self.chamber_kernel.table(chars.check_weight(self.cartan, lam))
+            mus, probs, _, _ = self.table(chars.check_weight(self.cartan, lam))
             return {mu: q for mu, q in zip(mus, probs) if q}
         check_rank(self.cartan, lam)
         start = int_weight(lam)
@@ -445,11 +439,18 @@ class CentralMeasure:
         return dict(self.point.to_jsonable(), rank=self.cartan.rank, kind=self.kind)
 
 
+def chamber_point(cartan: CartanDatum, delta, m) -> BoundaryPoint:
+    """The point of drift m (invert_drift); NotDominantDrift unless m lies in
+    K(delta)+, that is, unless its w is the identity."""
+    point = invert_drift(cartan, delta, m)
+    if point.w != cartan.identity:
+        raise NotDominantDrift(f"{format_weight(m)} is not in K{format_weight(point.delta)}+")
+    return point
+
+
 def central_measure(cartan: CartanDatum, delta, kind: str, m) -> CentralMeasure:
     """Measure for a drift target m: m in K(delta) (free) or K(delta)+ (chamber)."""
-    point = invert_drift(cartan, delta, m)
-    if kind == "chamber" and point.w != cartan.identity:
-        raise NotDominantDrift(f"{m} is not in K(delta)+")
+    point = (chamber_point if kind == "chamber" else invert_drift)(cartan, delta, m)
     return CentralMeasure(kind, point)
 
 
@@ -474,10 +475,12 @@ def harmonicity_residual(measure: CentralMeasure, n_max: int) -> float:
 def s_hat_t(cartan: CartanDatum, delta, t) -> float:
     """s_delta evaluated at t: S_delta(t) / t^delta, +inf when some t_i = 0 or
     t^delta underflows to 0 (S_delta >= 1, so the value is beyond the float
-    range).  ValueError when t has the wrong length."""
+    range).  ValueError when t has the wrong length or is not in [0,1]^d."""
     t = tuple(float(x) for x in t)
     if len(t) != cartan.rank:
         raise ValueError(f"t = {t} has wrong rank")
+    if not all(0.0 <= x <= 1.0 for x in t):
+        raise ValueError(f"t = {t} is not in [0,1]^d")
     if any(x == 0.0 for x in t):
         return math.inf
     s = chars.evaluate_S(cartan, delta, t)
@@ -487,10 +490,7 @@ def s_hat_t(cartan: CartanDatum, delta, t) -> float:
 
 def s_hat(cartan: CartanDatum, delta, m) -> float:
     """s_hat of the chamber measure with drift m (requires m in K(delta)+)."""
-    point = invert_drift(cartan, delta, m)
-    if point.w != cartan.identity:
-        raise NotDominantDrift(f"{m} is not in K(delta)+")
-    return s_hat_t(cartan, delta, point.t)
+    return s_hat_t(cartan, delta, chamber_point(cartan, delta, m).t)
 
 
 @dataclass(frozen=True)

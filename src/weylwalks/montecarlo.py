@@ -6,7 +6,7 @@ RNG contract: numpy Generators seeded as default_rng([seed, rep]); per-rep
 streams are independent and the whole report is reproducible from
 (configuration, seed).  The chamber sampler walks on int weights and draws
 each move by inverse CDF, bisect_right(cdf, rng.random()) over the CDF of
-the measure's boundary.ChamberKernel table, whose probabilities kernel_row
+the measure's step table (CentralMeasure.table), whose probabilities kernel_row
 returns, as Generator.choice(n, p=row) does; a row has the same bits whatever
 rows or p values the measure built before it.  Rows hold on all of [0,1]^d,
 faces (t_i = 0), t_i = 1 and t near 1 included.
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCap, NotDominantDrift
+from .errors import EnumerationCap
 from .rootdata import CartanDatum
-from . import boundary, chars, paths
+from . import boundary, paths
 
 LLN_PASS_THRESHOLD = 0.05  # at 5000 steps, about 3.5 standard errors (see lln_check)
 
@@ -57,27 +57,13 @@ class SimReport:
     def passed(self) -> bool:
         return self.max_deviation < self.threshold
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "n_reps": self.n_reps,
-            "empirical_drift": [repr(x) for x in self.empirical_drift],
-            "target_drift": [repr(x) for x in self.target_drift],
-            "max_deviation": repr(self.max_deviation),
-            "deviations": [repr(x) for x in self.deviations],
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
-
 
 # -- sampling -------------------------------------------------------------------
 
 
-def _free_letter_probs(measure):
-    """Probability of each crystal letter under the free measure."""
-    point = measure.point
-    ends, _ = paths._letter_table(measure.cartan, measure.delta)
-    arr = np.array([point.monomials[end] / point.s_delta for end in ends])
+def _free_letter_probs(point):
+    """Probability of each crystal letter under the free measure at point."""
+    arr = np.array([mono / point.s_delta for mono in point.letter_monomials])
     assert abs(arr.sum() - 1.0) < 1e-9
     return arr / arr.sum()
 
@@ -97,7 +83,7 @@ def sample_trajectory(measure, steps: int, seed) -> Trajectory:
     path = [lam]
     letters = []
     if measure.kind == "free":
-        probs = _free_letter_probs(measure)
+        probs = _free_letter_probs(measure.point)
         draws = rng.choice(len(probs), size=steps, p=probs) if steps else []
         for b in draws:
             b = int(b)
@@ -106,9 +92,8 @@ def sample_trajectory(measure, steps: int, seed) -> Trajectory:
             path.append(lam)
     else:
         # the measure's step tables are shared across its trajectories
-        kernel = measure.chamber_kernel
         for _ in range(steps):
-            mus, _, cdf, letter_lists = kernel.table(lam)
+            mus, _, cdf, letter_lists = measure.table(lam)
             k = bisect_right(cdf, rng.random())
             valid = letter_lists[k]
             # integers(1) draws no bits, so a lone letter needs no call
@@ -128,6 +113,8 @@ def lln_check(measure, steps: int, reps: int, seed: int = 0,
     false failure is a < 1e-3 event per coordinate."""
     if steps < 1000:
         raise ValueError("LLN checks need at least 1000 steps")
+    if reps < 1:
+        raise ValueError("LLN checks need at least one rep")
     target = measure.point.drift
     deviations = []
     acc = np.zeros(len(target))
@@ -189,13 +176,10 @@ def pitman_equality_in_law(cartan: CartanDatum, delta, m, n: int,
     m must lie in K(delta)+.  The free letter law goes through the chain along
     the fixed reduced word of w0 by a dynamic program over the chain's causal
     states (_pitman_law), equal to enumerating all |B(delta)|^n words."""
-    delta = chars.check_weight(cartan, delta)
-    point = boundary.invert_drift(cartan, delta, m)
-    if point.w != cartan.identity:
-        raise NotDominantDrift(f"{m} is not in K(delta)+")
-    free = boundary.CentralMeasure("free", point)
+    point = boundary.chamber_point(cartan, delta, m)
+    delta = point.delta
     chamber = boundary.CentralMeasure("chamber", point)
-    pushed = _pitman_law(cartan, delta, _free_letter_probs(free), n, cap)
+    pushed = _pitman_law(cartan, delta, _free_letter_probs(point), n, cap)
     assert all(cartan.is_dominant(end) for end in pushed)
 
     exact = {}

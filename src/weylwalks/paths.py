@@ -257,10 +257,6 @@ class GrowthGraph:
     levels: tuple  # tuple of dicts
     edges: tuple   # tuple of dicts
 
-    @property
-    def n_max(self) -> int:
-        return len(self.levels) - 1
-
 
 def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
                        level_cap: int = DEFAULT_LEVEL_CAP) -> GrowthGraph:

@@ -334,8 +334,17 @@ def test_face_newton_rejects_zero_target():
 
 
 def test_chamber_requires_dominant_drift():
-    with pytest.raises(NotDominantDrift):
+    # the detail prints m and delta as plain weights, as NotInPolytope does
+    from weylwalks import pitman_equality_in_law
+    with pytest.raises(NotDominantDrift, match=re.escape("(-0.5) is not in K(1)+")):
         central_measure(A1, (1,), "chamber", (-0.5,))
+    m = (Fraction(-1, 5), Fraction(1, 5))
+    for call in (lambda: central_measure(A2, (1, 0), "chamber", m),
+                 lambda: s_hat(A2, (1, 0), m),
+                 lambda: pitman_equality_in_law(A2, (1, 0), m, 2)):
+        with pytest.raises(NotDominantDrift) as info:
+            call()
+        assert str(info.value) == "(-1/5, 1/5) is not in K(1, 0)+"
 
 
 def test_a1_uniform_chamber_kernel():
@@ -425,6 +434,13 @@ def test_drift_entry_points_refuse_m_of_the_wrong_rank(m):
 def test_s_hat_t_refuses_t_of_the_wrong_length():
     for t in [(0.5,), (0.5, 0.5, 0.5), ()]:
         with pytest.raises(ValueError, match="wrong rank"):
+            s_hat_t(A2, (1, 0), t)
+
+
+def test_s_hat_t_refuses_t_outside_the_box():
+    # outside [0,1]^d the formula returned a complex number or a finite value
+    for t in [(-0.5, 0.5), (2.0, 0.5), (0.5, 1.0 + 2.0**-52), (math.nan, 0.5)]:
+        with pytest.raises(ValueError, match=re.escape("is not in [0,1]^d")):
             s_hat_t(A2, (1, 0), t)
 
 
@@ -676,7 +692,7 @@ def _reference_p(meas, lam, n):
     if shift is None or any(k < 0 for k in shift):
         raise OrderViolation(
             f"{format_weight(ndelta)} is not >= {format_weight(top)} in the root order")
-    num = meas.chamber_kernel.numerator
+    num = meas.numerator
     return _reference_law_value(point.t, shift, n, point.s_delta,
                                 math.log(num(top) / num((0,) * len(top))))
 

@@ -326,6 +326,18 @@ def test_error_details_print_plain_weights(capsys, args, error, detail):
     assert json.loads(out) == {"error": error, "detail": detail}
 
 
+@pytest.mark.parametrize("argv,detail", [
+    (["measure", "eval", "--type", "A2", "--delta", "1,0", "--mode", "chamber",
+      "--m", "-1/5,1/5"], "(-1/5, 1/5) is not in K(1, 0)+"),
+    (["sample", "--type", "A1", "--delta", "1", "--mode", "chamber", "--m", "-1",
+      "--steps", "3", "--seed", "1"], "(-1) is not in K(1)+"),
+])
+def test_not_dominant_drift_detail_prints_plain_weights(capsys, argv, detail):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "NotDominantDrift", "detail": detail}
+
+
 def test_chamber_eval_builds_no_table_of_lambda(capsys):
     # dim V(100, 100) = 1,030,301 exceeds the default dimension cap, but chamber
     # p and kernel rows use Weyl numerators, never a table of V(lambda)

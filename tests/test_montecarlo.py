@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -133,7 +134,7 @@ def test_chamber_stepper_matches_direct_kernel():
                         if val:
                             direct[weight(mu)] = val
                     row = meas.kernel_row(lam)
-                    mus, probs, _, _ = meas.chamber_kernel.table(int_weight(lam))
+                    mus, probs, _, _ = meas.table(int_weight(lam))
                     assert row == {weight(mu): q for mu, q in zip(mus, probs) if q}
                     assert set(row) == set(direct)
                     for mu, q in row.items():
@@ -166,7 +167,7 @@ def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
             for lam in level]
     lams.append(tuple(7 * c + 3 for c in delta))
     for t in ts:
-        kernel = chamber_measure(cartan, delta, t).chamber_kernel
+        meas = chamber_measure(cartan, delta, t)
         for lam in lams:
             lam = int_weight(lam)
             moves = sorted(chamber_moves(cartan, delta, lam).items())
@@ -174,8 +175,8 @@ def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
             total = sum(len(bs) * monomial(t, chars.free_exponent(
                             cartan, delta, cartan.identity, 1, wsub(mu, lam))) * num
                         for (mu, bs), num in zip(moves, nums[1:]))
-            assert abs(total / (kernel.point.s_delta * nums[0]) - 1.0) < 1e-12, (t, lam)
-            kernel.table(lam)  # asserts the same bound on its own row
+            assert abs(total / (meas.point.s_delta * nums[0]) - 1.0) < 1e-12, (t, lam)
+            meas.table(lam)  # asserts the same bound on its own row
 
 
 def test_chamber_rows_stay_on_the_delta_module(monkeypatch):
@@ -197,9 +198,9 @@ def test_chamber_rows_stay_on_the_delta_module(monkeypatch):
         meas = chamber_measure(A2, (1, 1), t)
         batches.clear()
         sample_trajectory(meas, 60, seed=4)
-        assert len(batches) <= len(meas.chamber_kernel.tables)
+        assert len(batches) <= len(meas.tables)
         if t == (0.3, 0.6):
-            assert len(batches) < len(meas.chamber_kernel.tables)
+            assert len(batches) < len(meas.tables)
         meas = chamber_measure(A2, (1, 1), t)
         for lam in [(0, 0), (1, 1), (3, 0), (2, 2), (40, 40)]:
             meas.p(lam, 70)
@@ -220,12 +221,12 @@ def test_chamber_rows_do_not_depend_on_history(cartan, delta):
         point = boundary_point(cartan, delta, t)
         walked = CentralMeasure("chamber", point)
         sample_trajectory(walked, 120, seed=8)
-        lams = list(walked.chamber_kernel.tables)
+        lams = list(walked.tables)
         rng.shuffle(lams)
         direct = CentralMeasure("chamber", point)
         for lam in lams:
             direct.kernel_row(lam)
-        assert direct.chamber_kernel.tables == walked.chamber_kernel.tables, t
+        assert direct.tables == walked.tables, t
 
 
 WALK_GOLDEN = json.loads((Path(__file__).parent / "chamber_walk_golden.json").read_text())
@@ -255,7 +256,7 @@ def free_law_record(cartan, delta, t, word, seed):
         "inverse_t": [repr(x) for x in invert_drift(cartan, delta, point.drift).t],
         "kernel_rows": [[[list(mu), repr(q)] for mu, q in sorted(meas.kernel_row(lam).items())]
                         for lam in [(0,) * cartan.rank, other]],
-        "letter_probs": [repr(float(q)) for q in _free_letter_probs(meas)],
+        "letter_probs": [repr(float(q)) for q in _free_letter_probs(point)],
         "letters": list(sample_trajectory(meas, 100, seed=seed).letters),
     }
 
@@ -361,6 +362,16 @@ def test_lln_requires_enough_steps():
         lln_check(meas, 10, 1)
 
 
+def test_lln_requires_a_rep():
+    # no rep used to divide by zero (RuntimeWarning) and then fail on max([])
+    meas = central_measure(A1, (1,), "chamber", (0,))
+    for reps in (0, -1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one rep"):
+                lln_check(meas, 1000, reps)
+
+
 def test_lln_chamber_small():
     meas = interior_measure(A2, weight((1, 0)), "chamber", 8)
     report = lln_check(meas, 2000, 2, seed=42)
@@ -374,7 +385,7 @@ def test_lln_chamber_small():
 def test_lln_free_exact_mean():
     # the free walk has i.i.d. increments with mean exactly the drift
     meas = interior_measure(A2, weight((1, 0)), "free", 9)
-    probs = _free_letter_probs(meas)
+    probs = _free_letter_probs(meas.point)
     cb = crystal(A2, weight((1, 0)))
     mean = np.zeros(2)
     for b, p in enumerate(probs):
@@ -472,7 +483,7 @@ def test_pitman_law_matches_word_enumeration(cartan, delta, n):
     rng = np.random.default_rng(29)
     delta = weight(delta)
     for t in box_patterns(cartan, delta, rng):
-        probs = _free_letter_probs(CentralMeasure("free", boundary_point(cartan, delta, t)))
+        probs = _free_letter_probs(boundary_point(cartan, delta, t))
         law = _pitman_law(cartan, int_weight(delta), probs, n, 10**6)
         reference = enumerated_pitman_law(cartan, delta, probs, n)
         assert set(law) == set(reference), t
@@ -507,13 +518,10 @@ def test_pitman_step_refuses_non_integral_state():
 # -- exports ----------------------------------------------------------------------------
 
 
-def test_trajectory_csv_and_report_json():
+def test_trajectory_csv():
     meas = central_measure(A1, (1,), "chamber", (0,))
     traj = sample_trajectory(meas, 5, seed=1)
     text = trajectory_csv(traj)
     lines = text.strip().splitlines()
     assert lines[0] == "step,omega_1"
     assert len(lines) == 7
-    report = lln_check(meas, 1000, 1, seed=1)
-    doc = json.dumps(report.to_jsonable(), sort_keys=True)
-    assert '"passed"' in doc
