@@ -109,7 +109,7 @@ class BoundaryPoint:
         """[t^(delta - w e_b)] over the letters b of B(delta), e_b the endpoint
         (paths._letter_table): the chamber moves' coefficients and, over
         S_delta, the free letter law."""
-        ends, _ = paths._letter_table(self.cartan, self.delta)
+        ends = paths._letter_table(self.cartan, self.delta)[0]
         return [self.monomials[end] for end in ends]
 
     @cached_property
@@ -315,13 +315,10 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
 
 @lru_cache(maxsize=None)
 def _two_step_offsets(cartan, delta):
-    """(cap, offsets): cap the largest letter thresholds of B(delta)
-    (paths._letter_table), offsets the steps of at most two letters: 0, E and
-    E + E, E the endpoints."""
-    ends, thresholds = paths._letter_table(cartan, delta)
-    ends = set(ends) | {(0,) * cartan.rank}
-    return (tuple(map(max, zip(*thresholds))),
-            tuple(sorted({wadd(a, b) for a in ends for b in ends})))
+    """The steps of at most two letters of B(delta): 0, E and E + E, E the
+    endpoints (paths._letter_table)."""
+    ends = set(paths._letter_table(cartan, delta)[0]) | {(0,) * cartan.rank}
+    return tuple(sorted({wadd(a, b) for a in ends for b in ends}))
 
 
 class CentralMeasure:
@@ -334,11 +331,11 @@ class CentralMeasure:
     S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels.  Rows,
     p and the sampler read one numerator cache; a miss at lam fills every
     uncached dominant weight within two letter steps of lam in one batch, so
-    the first row out of any target of lam makes no call.  Letter validity
-    depends on lam only through min(lam, cap), cap the largest thresholds
-    (_two_step_offsets), so each clipped weight caches its moves
-    (paths.chamber_moves): target offsets, coefficients len(bs) t^(delta - e_b)
-    (BoundaryPoint.letter_monomials) and letter lists.
+    the first row out of any target of lam makes no call.  Rows read the
+    chamber case of the step rule (paths.steps), which depends on lam only
+    through min(lam, cap) (paths._letter_table), so each clipped weight caches
+    its offsets, coefficients len(bs) t^(delta - e_b)
+    (BoundaryPoint.letter_monomials) and letters.
     """
 
     def __init__(self, kind: str, point: BoundaryPoint):
@@ -358,7 +355,7 @@ class CentralMeasure:
     def _fill(self, lam):
         """One batch for the uncached dominant weights within two steps of lam."""
         nums = self.numerators
-        new = [nu for off in _two_step_offsets(self.cartan, self.delta)[1]
+        new = [nu for off in _two_step_offsets(self.cartan, self.delta)
                if (nu := tuple(map(operator.add, lam, off))) not in nums and min(nu) >= 0]
         nums.update(zip(new, chars.weyl_numerator_batch(
             self.cartan, new, self.point.t).tolist()))
@@ -381,12 +378,12 @@ class CentralMeasure:
         if cached is not None:
             return cached
         pt = self.point
-        clipped = tuple(map(min, lam, _two_step_offsets(self.cartan, self.delta)[0]))
+        clipped = tuple(map(min, lam, paths._letter_table(self.cartan, self.delta)[2]))
         pattern = self.patterns.get(clipped)
         if pattern is None:
-            moves = sorted(paths.chamber_moves(self.cartan, self.delta, clipped).items())
+            moves = paths.steps(self.cartan, "chamber", self.delta, clipped)
             pattern = self.patterns[clipped] = (
-                [wsub(mu, clipped) for mu, _ in moves],
+                [off for off, _ in moves],
                 [len(bs) * pt.letter_monomials[bs[0]] for _, bs in moves],
                 [bs for _, bs in moves])
         offsets, coefs, letters = pattern
@@ -454,19 +451,29 @@ def central_measure(cartan: CartanDatum, delta, kind: str, m) -> CentralMeasure:
     return CentralMeasure(kind, point)
 
 
+def _harmonic_residual(cartan, kind, delta, n_max, f, c=1) -> float:
+    """max over n <= n_max (ValueError when negative) and level-n vertices lam
+    of |f(lam, n) - (1/c) sum_mu e(lam, mu) f(mu, n+1)|, f called once per
+    vertex in level order, the step rule's targets added in target order."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    g = paths.build_growth_graph(cartan, kind, delta, n_max + 1)
+    worst = 0.0
+    f_next = {lam: f(lam, 0) for lam in g.levels[0]}
+    for n in range(n_max + 1):
+        f_cur, f_next = f_next, {mu: f(mu, n + 1) for mu in g.levels[n + 1]}
+        for lam in g.levels[n]:
+            rhs = sum([len(bs) * f_next[tuple(map(operator.add, lam, off))]
+                       for off, bs in paths.steps(cartan, kind, g.delta, lam)])
+            worst = max(worst, abs(f_cur[lam] - rhs / c))
+    return worst
+
+
 def harmonicity_residual(measure: CentralMeasure, n_max: int) -> float:
     """max over n <= n_max and level-n vertices of
     |p(lam, n) - sum_mu e(lam, mu) p(mu, n+1)|."""
-    g = paths.build_growth_graph(measure.cartan, measure.kind, measure.delta,
-                                 n_max + 1)
-    worst = 0.0
-    p_next = {lam: measure.p(lam, 0) for lam in g.levels[0]}
-    for n in range(n_max + 1):
-        p_cur, p_next = p_next, {mu: measure.p(mu, n + 1) for mu in g.levels[n + 1]}
-        for lam in g.levels[n]:
-            rhs = sum(e * p_next[mu] for mu, e in g.edges[n][lam])
-            worst = max(worst, abs(p_cur[lam] - rhs))
-    return worst
+    return _harmonic_residual(measure.cartan, measure.kind, measure.delta, n_max,
+                              measure.p)
 
 
 # -- c-harmonic classification -------------------------------------------------------
@@ -572,25 +579,22 @@ def harmonic_function_check(cartan: CartanDatum, delta, t, n_max: int = 4) -> fl
     """Residual of the c-harmonicity of h(lam) = s_lam(t) with c = s_delta(t)/Z.
 
     max over dominant vertices lam at levels <= n_max of
-    |s_lam(t) - (1/(cZ)) sum_mu e(lam, mu) s_mu(t)|; t must lie in (0, 1]^d."""
+    |s_lam(t) - (1/(cZ)) sum_mu e(lam, mu) s_mu(t)|; t must lie in (0, 1]^d
+    and n_max must be nonnegative."""
     t = tuple(float(x) for x in t)
     if not all(0 < x <= 1 for x in t):
         raise ValueError("t must lie in the half-open box (0, 1]^d")
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
 
     cz = s_hat_t(cartan, delta, t)  # c Z = s_delta(t)
-    g = paths.build_growth_graph(cartan, "chamber", delta, n_max + 1)
+    levels = paths.build_growth_graph(cartan, "chamber", delta, n_max + 1).levels
     # s_lam(t) = S_{lam,lam}(t) / t^lam with S_{lam,lam} = N_lam / N_0
-    lams = list(dict.fromkeys(lam for level in g.levels for lam in level))
+    lams = list(dict.fromkeys(lam for level in levels for lam in level))
     nums = chars.weyl_numerator_batch(cartan, [(0,) * cartan.rank] + lams, t).tolist()
     s_val = {lam: num / nums[0] / chars.monomial(t, cartan.alpha_coords(lam))
              for lam, num in zip(lams, nums[1:])}
-    worst = 0.0
-    for n in range(n_max + 1):
-        for lam in g.levels[n]:
-            lhs = s_val[lam]
-            rhs = sum(e * s_val[mu] for mu, e in g.edges[n][lam]) / cz
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    return _harmonic_residual(cartan, "chamber", delta, n_max, lambda lam, n: s_val[lam], cz)
 
 
 # -- exports ---------------------------------------------------------------------------

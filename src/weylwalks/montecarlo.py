@@ -78,7 +78,7 @@ def sample_trajectory(measure, steps: int, seed) -> Trajectory:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     rng = np.random.default_rng(seed)
-    ends, _ = paths._letter_table(measure.cartan, measure.delta)
+    ends = paths._letter_table(measure.cartan, measure.delta)[0]
     lam = (0,) * measure.cartan.rank
     path = [lam]
     letters = []

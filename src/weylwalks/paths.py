@@ -8,7 +8,9 @@ linearity makes that exact).  The integral weights around the paths are int
 tuples: the highest weight delta, the letters' endpoints and chamber
 thresholds (one table per crystal, _letter_table), the vertices of the growth
 graphs, and the Pitman chain's states and steps (pitman_step, a lookup in the
-crystal's tables with no path arithmetic).
+crystal's tables with no path arithmetic).  One step rule (steps, a cached
+pattern per clipped weight) gives the growth levels, the harmonicity sums and
+the chamber kernel rows.
 """
 
 from __future__ import annotations
@@ -206,15 +208,17 @@ def in_chamber(cartan: CartanDatum, path: PLPath, base) -> bool:
 
 @lru_cache(maxsize=None)
 def _letter_table(cartan, delta):
-    """Per crystal letter of B(delta), delta an int tuple: (endpoint, validity
-    threshold) as int tuples, read once from the letter's Fraction breakpoints.
+    """(endpoints, thresholds, cap): per crystal letter of B(delta), delta an
+    int tuple, its endpoint and validity threshold as int tuples, read once from
+    the letter's Fraction breakpoints, and cap, the largest thresholds.
 
     From an integral weight lam, letter b is chamber-valid iff
     lam_k >= threshold_b[k] for every k, where threshold_b[k] is the ceiling of
-    minus the least breakpoint coordinate k.  The minima of a Littelmann path's
-    coroot heights are integers; the ceiling keeps the test exact without
-    relying on that.  Coordinate k is the alpha_k-height, so threshold_b[k] is
-    also eps_k(b), the length of b's e_k-string (pitman_step).
+    minus the least breakpoint coordinate k, so validity depends on lam only
+    through min(lam, cap).  The minima of a Littelmann path's coroot heights are
+    integers; the ceiling keeps the test exact without relying on that.
+    Coordinate k is the alpha_k-height, so threshold_b[k] is also eps_k(b), the
+    length of b's e_k-string (pitman_step).
     """
     ends, thresholds = [], []
     for p in crystal(cartan, delta).paths:
@@ -222,22 +226,30 @@ def _letter_table(cartan, delta):
         ends.append(int_weight(bps[-1]))
         thresholds.append(tuple(-math.floor(min(col)) for col in zip(*bps)))
     assert None not in ends
-    return tuple(ends), tuple(thresholds)
+    return tuple(ends), tuple(thresholds), tuple(map(max, zip(*thresholds)))
 
 
-def chamber_moves(cartan, delta, lam) -> dict:
-    """Chamber-valid letters out of lam, for int tuples delta and lam.
-
-    Returns {mu: [b, ...]}: each int target mu = lam + endpoint_b with the
-    letters reaching it in increasing index order; targets appear in the order
-    of their first letter.
-    """
-    ends, thresholds = _letter_table(cartan, delta)
+@lru_cache(maxsize=None)
+def _step_pattern(cartan, delta, clipped) -> tuple:
+    """((offset, letters), ...) in offset order: the letters of B(delta)
+    grouped by endpoint, each group in increasing index order.  clipped None
+    keeps every letter (free steps); an int tuple min(lam, cap) (_letter_table)
+    keeps the letters chamber-valid from lam, those with clipped >= threshold_b."""
+    ends, thresholds, _ = _letter_table(cartan, delta)
     moves = {}
     for b, (end, threshold) in enumerate(zip(ends, thresholds)):
-        if all(map(operator.ge, lam, threshold)):
-            moves.setdefault(tuple(map(operator.add, lam, end)), []).append(b)
-    return moves
+        if clipped is None or all(map(operator.ge, clipped, threshold)):
+            moves.setdefault(end, []).append(b)
+    return tuple(sorted((off, tuple(bs)) for off, bs in moves.items()))
+
+
+def steps(cartan, kind: str, delta, lam) -> tuple:
+    """The step rule out of the int weight lam: ((offset, letters), ...), the
+    letters from lam to mu = lam + offset, so e(lam, mu) = len(letters), in
+    offset order, which is target order.  Free steps take every letter of
+    B(delta); chamber steps the letters that keep lam + b in the chamber."""
+    return _step_pattern(cartan, delta, None if kind == "free" else
+                         tuple(map(min, lam, _letter_table(cartan, delta)[2])))
 
 
 # -- growth graphs ---------------------------------------------------------------
@@ -245,63 +257,46 @@ def chamber_moves(cartan, delta, lam) -> dict:
 
 @dataclass(frozen=True)
 class GrowthGraph:
-    """Levels and weighted edges of the free or chamber growth graph.
-
-    levels[n] maps a weight to the exact number of length-n paths ending there;
-    edges[n] maps a level-n weight to a list of (next weight, multiplicity).
-    delta and every weight are int tuples.
-    """
+    """Levels 0..n_max of the free or chamber growth graph: levels[n] maps a
+    weight to the exact number of length-n paths ending there; steps(...)
+    gives the edges.  delta and every weight are int tuples."""
 
     kind: str
     delta: tuple
     levels: tuple  # tuple of dicts
-    edges: tuple   # tuple of dicts
+
+
+_LEVELS = {}  # (cartan, kind, delta) -> the levels computed so far, extended in place
 
 
 def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
                        level_cap: int = DEFAULT_LEVEL_CAP) -> GrowthGraph:
-    """Construct the growth graph up to level n_max.
+    """The growth graph up to level n_max (ValueError when negative).
 
     Free kind: edge weight K_{delta, mu-lambda}.  Chamber kind: edge weight is
     the number of crystal letters that stay in the chamber from lambda, which
-    equals the multiplicity of V(mu) in V(lambda) (x) V(delta).
+    equals the multiplicity of V(mu) in V(lambda) (x) V(delta).  Each level is
+    computed once per (cartan, kind, delta) and kept; LevelCap at the first
+    level past level_cap vertices, cached or not.
     """
     if kind not in ("free", "chamber"):
         raise ValueError("kind must be 'free' or 'chamber'")
-    return _build_growth_graph(cartan, kind, chars.check_weight(cartan, delta),
-                               int(n_max), int(level_cap))
-
-
-@lru_cache(maxsize=None)
-def _build_growth_graph(cartan, kind, delta, n_max, level_cap):
-    ends, _ = _letter_table(cartan, delta)
-    free_steps = {}
-    for e in ends:
-        free_steps[e] = free_steps.get(e, 0) + 1
-
-    levels = [{(0,) * cartan.rank: 1}]
-    edges = []
-    for n in range(n_max):
-        cur = levels[-1]
-        out_edges = {}
-        nxt = {}
-        for lam, cnt in cur.items():
-            row = {}
-            if kind == "free":
-                for gamma, k in free_steps.items():
-                    mu = tuple(map(operator.add, lam, gamma))
-                    row[mu] = row.get(mu, 0) + k
-            else:
-                for mu, letters in chamber_moves(cartan, delta, lam).items():
-                    row[mu] = len(letters)
-            out_edges[lam] = sorted(row.items())
-            for mu, k in row.items():
-                nxt[mu] = nxt.get(mu, 0) + cnt * k
-        if len(nxt) > level_cap:
-            raise LevelCap(f"level {n + 1} has {len(nxt)} vertices > cap {level_cap}")
-        edges.append(out_edges)
-        levels.append(nxt)
-    return GrowthGraph(kind=kind, delta=delta, levels=tuple(levels), edges=tuple(edges))
+    delta = chars.check_weight(cartan, delta)
+    n_max, level_cap = int(n_max), int(level_cap)
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    levels = _LEVELS.setdefault((cartan, kind, delta), [{(0,) * cartan.rank: 1}])
+    for n in range(1, n_max + 1):
+        if n == len(levels):  # each vertex's targets enter in first-letter order
+            nxt = {}
+            for lam, cnt in levels[-1].items():
+                for off, bs in sorted(steps(cartan, kind, delta, lam), key=lambda s: s[1][0]):
+                    mu = tuple(map(operator.add, lam, off))
+                    nxt[mu] = nxt.get(mu, 0) + cnt * len(bs)
+            levels.append(nxt)
+        if len(levels[n]) > level_cap:
+            raise LevelCap(f"level {n} has {len(levels[n])} vertices > cap {level_cap}")
+    return GrowthGraph(kind=kind, delta=delta, levels=tuple(levels[:n_max + 1]))
 
 
 def count_paths(cartan: CartanDatum, kind: str, delta, lam, n: int,
@@ -392,7 +387,7 @@ def pitman_step(cartan: CartanDatum, delta, gaps, b):
     ints = int_weight(gaps)
     if ints is None or min(ints) < 0:
         raise ValueError("Pitman chain state is not a tuple of nonnegative integers")
-    ends, thresholds = _letter_table(cartan, delta)
+    ends, thresholds, _ = _letter_table(cartan, delta)
     raising = _raising_edges(cartan, delta)
     new_gaps = []
     for i, gap in zip(reversed(cartan.w0_word), ints):

@@ -484,14 +484,15 @@ def test_harmonicity_a2_interior_example():
 
 def _per_edge_residual(measure, n_max):
     """Harmonicity residual with p evaluated once per incoming edge."""
-    from weylwalks.paths import build_growth_graph
+    from weylwalks.paths import build_growth_graph, steps
 
     g = build_growth_graph(measure.cartan, measure.kind, measure.delta, n_max + 1)
     worst = 0.0
     for n in range(n_max + 1):
         for lam in g.levels[n]:
             lhs = measure.p(lam, n)
-            rhs = sum(e * measure.p(mu, n + 1) for mu, e in g.edges[n][lam])
+            rhs = sum(len(bs) * measure.p(wadd(lam, off), n + 1) for off, bs in
+                      steps(measure.cartan, measure.kind, measure.delta, lam))
             worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -522,7 +523,7 @@ def test_harmonicity_detector_catches_perturbation():
 
 def test_kernel_time_homogeneity():
     # Q computed from p-ratios at level n is independent of n and matches kernel_row
-    from weylwalks.paths import build_growth_graph
+    from weylwalks.paths import build_growth_graph, steps
 
     rng = np.random.default_rng(11)
     for cartan, delta in [(A2, weight((1, 0))), (B2, weight((0, 1)))]:
@@ -535,8 +536,9 @@ def test_kernel_time_homogeneity():
                 if p_lam == 0:
                     continue
                 row = meas.kernel_row(lam)
-                for mu, e in g.edges[n][lam]:
-                    q_n = e * meas.p(mu, n + 1) / p_lam
+                for off, bs in steps(cartan, "chamber", delta, lam):
+                    mu = wadd(lam, off)
+                    q_n = len(bs) * meas.p(mu, n + 1) / p_lam
                     assert q_n == pytest.approx(row.get(mu, 0.0), abs=1e-12)
 
 

@@ -37,14 +37,14 @@ from weylwalks.montecarlo import (
 )
 from weylwalks.paths import (
     build_growth_graph,
-    chamber_moves,
     crystal,
     pitman_chain,
     pitman_step,
     pitman_transform,
+    steps,
     word_path,
 )
-from weylwalks.rootdata import int_weight
+from weylwalks.rootdata import int_weight, wadd
 
 from test_chars import box_patterns, shifted_S
 from test_paths import fraction_floors
@@ -128,7 +128,8 @@ def test_chamber_stepper_matches_direct_kernel():
                     s_lam = chars.evaluate_S(cartan, lam, t)
                     target = tuple(a + b for a, b in zip(lam, delta))
                     direct = {}
-                    for mu, letters in chamber_moves(cartan, delta, int_weight(lam)).items():
+                    for off, letters in steps(cartan, "chamber", delta, int_weight(lam)):
+                        mu = wadd(lam, off)
                         val = len(letters) * shifted_S(cartan, mu, target, t) \
                             / (s_delta * s_lam)
                         if val:
@@ -170,7 +171,7 @@ def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
         meas = chamber_measure(cartan, delta, t)
         for lam in lams:
             lam = int_weight(lam)
-            moves = sorted(chamber_moves(cartan, delta, lam).items())
+            moves = [(wadd(lam, off), bs) for off, bs in steps(cartan, "chamber", delta, lam)]
             nums = chars.weyl_numerator_batch(cartan, [lam] + [mu for mu, _ in moves], t)
             total = sum(len(bs) * monomial(t, chars.free_exponent(
                             cartan, delta, cartan.identity, 1, wsub(mu, lam))) * num

@@ -30,11 +30,11 @@ from weylwalks import (
 from weylwalks.chars import convolve_multisets
 from weylwalks.paths import (
     build_growth_graph,
-    chamber_moves,
     concat,
     crystal,
     crystal_to_dot,
     make_path,
+    steps,
     word_path,
 )
 
@@ -352,7 +352,8 @@ def test_chamber_edge_weights_equal_tensor_multiplicities(cartan, delta):
     delta = weight(delta)
     g = build_growth_graph(cartan, "chamber", delta, 3)
     for n in range(3):
-        for lam, edges in g.edges[n].items():
+        for lam in g.levels[n]:
+            edges = [(wadd(lam, off), len(bs)) for off, bs in steps(cartan, "chamber", delta, lam)]
             assert dict(edges) == tensor_decompose(cartan, lam, delta)
 
 
@@ -361,7 +362,9 @@ def test_growth_graph_weights_are_ints(kind):
     # Fraction delta in, int tuples throughout: delta, levels and edges
     g = build_growth_graph(G2, kind, weight((1, 0)), 3)
     assert all(type(c) is int for c in g.delta)
-    for level, edges in zip(g.levels, g.edges):
+    for level in g.levels:
+        edges = {lam: [(wadd(lam, off), bs) for off, bs in steps(G2, kind, g.delta, lam)]
+                 for lam in level}
         assert all(type(c) is int for lam in level for c in lam)
         assert all(type(c) is int for row in edges.values() for mu, _ in row for c in mu)
         assert set(edges) == set(level)
@@ -372,7 +375,8 @@ def test_chamber_edge_dimension_identity(cartan, delta):
     g = build_growth_graph(cartan, "chamber", delta, 3)
     z = weyl_dim(cartan, delta)
     for n in range(3):
-        for lam, edges in g.edges[n].items():
+        for lam in g.levels[n]:
+            edges = [(wadd(lam, off), len(bs)) for off, bs in steps(cartan, "chamber", delta, lam)]
             assert sum(e * weyl_dim(cartan, mu) for mu, e in edges) == \
                 weyl_dim(cartan, lam) * z
 
@@ -397,7 +401,7 @@ def test_chamber_moves_match_fraction_floors(cartan, delta):
         for b, (end, floor) in enumerate(fraction_floors(cartan, delta)):
             if all(x + f >= 0 for x, f in zip(lam, floor)):
                 expected.setdefault(wadd(weight(lam), end), []).append(b)
-        moves = chamber_moves(cartan, delta, lam)
+        moves = {wadd(lam, off): list(bs) for off, bs in steps(cartan, "chamber", delta, lam)}
         assert moves == expected
         assert all(type(c) is int for mu in moves for c in mu)
 
