@@ -184,6 +184,16 @@ def random_boundary_point(cartan: CartanDatum, delta, rng,
 # -- evaluation of the morphism ------------------------------------------------
 
 
+def _sum_in_order(terms):
+    """The terms added left to right, as the builtin sum does up to Python
+    3.11; from 3.12 on it compensates float rounding, which would move the
+    bits of every law and residual."""
+    total = 0
+    for x in terms:
+        total += x
+    return total
+
+
 def _law_value(point: BoundaryPoint, e, n, log_factor=0.0) -> float:
     """exp(log_factor) t^e / S_delta^n in log space (S_delta^n overflows near
     n = 340 for the A2 adjoint); 0**0 = 1, and an underflow gives 0.0.  The
@@ -198,7 +208,7 @@ def _law_value(point: BoundaryPoint, e, n, log_factor=0.0) -> float:
     log_s = point.log_s_delta
     try:
         return math.exp(log_factor - (n * log_s if log_s else 0.0)
-                        + sum(e[i] * log_ti for i, log_ti in point.log_t if e[i]))
+                        + _sum_in_order(e[i] * log_ti for i, log_ti in point.log_t if e[i]))
     except OverflowError:
         return 0.0
 
@@ -297,12 +307,14 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
     delta = chars.check_weight(cartan, delta, chars.DEFAULT_DIM_CAP)
     loc = polytope.locate(cartan, delta, m, strict=True)
     support = loc.face.indices
-    target = cartan.alpha_coords(wsub(delta, loc.y))
-    u = _face_newton(cartan, delta, support, [float(c) for c in target])
+    target = [float(c) for c in cartan.alpha_coords(wsub(delta, loc.y))]
+    u = _face_newton(cartan, delta, support, target)
     t = [0.0] * cartan.rank
     for i in support:
         ti = math.exp(u[i])
-        assert ti <= 1.0 + 1e-6, f"t_{i} = {ti} left the box"
+        if ti > 1.0 + 1e-6:
+            raise NoConvergence(f"t_{i} = {ti} left the box",
+                                {"t_i": ti, "support": list(support), "target": target})
         if abs(ti - 1.0) < CLAMP_TO_ONE:
             ti = 1.0
         t[i] = min(ti, 1.0)
@@ -463,8 +475,8 @@ def _harmonic_residual(cartan, kind, delta, n_max, f, c=1) -> float:
     for n in range(n_max + 1):
         f_cur, f_next = f_next, {mu: f(mu, n + 1) for mu in g.levels[n + 1]}
         for lam in g.levels[n]:
-            rhs = sum([len(bs) * f_next[tuple(map(operator.add, lam, off))]
-                       for off, bs in paths.steps(cartan, kind, g.delta, lam)])
+            rhs = _sum_in_order(len(bs) * f_next[tuple(map(operator.add, lam, off))]
+                                for off, bs in paths.steps(cartan, kind, g.delta, lam))
             worst = max(worst, abs(f_cur[lam] - rhs / c))
     return worst
 

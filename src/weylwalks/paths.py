@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DEFAULT_LEVEL_CAP, LevelCap, NotAdmissible
 from .rootdata import CartanDatum, int_weight, weight, wadd, wscale, wzero
@@ -263,10 +264,10 @@ class GrowthGraph:
 
     kind: str
     delta: tuple
-    levels: tuple  # tuple of dicts
+    levels: tuple  # tuple of read-only dict views
 
 
-_LEVELS = {}  # (cartan, kind, delta) -> the levels computed so far, extended in place
+_LEVELS = {}  # (cartan, kind, delta) -> read-only views of the levels computed so far
 
 
 def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
@@ -276,7 +277,8 @@ def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
     Free kind: edge weight K_{delta, mu-lambda}.  Chamber kind: edge weight is
     the number of crystal letters that stay in the chamber from lambda, which
     equals the multiplicity of V(mu) in V(lambda) (x) V(delta).  Each level is
-    computed once per (cartan, kind, delta) and kept; LevelCap at the first
+    computed once per (cartan, kind, delta) and kept, and handed out as a
+    read-only view, so no caller can change a later build; LevelCap at the first
     level past level_cap vertices, cached or not.
     """
     if kind not in ("free", "chamber"):
@@ -285,7 +287,8 @@ def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
     n_max, level_cap = int(n_max), int(level_cap)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    levels = _LEVELS.setdefault((cartan, kind, delta), [{(0,) * cartan.rank: 1}])
+    levels = _LEVELS.setdefault((cartan, kind, delta),
+                                [MappingProxyType({(0,) * cartan.rank: 1})])
     for n in range(1, n_max + 1):
         if n == len(levels):  # each vertex's targets enter in first-letter order
             nxt = {}
@@ -293,7 +296,7 @@ def build_growth_graph(cartan: CartanDatum, kind: str, delta, n_max: int,
                 for off, bs in sorted(steps(cartan, kind, delta, lam), key=lambda s: s[1][0]):
                     mu = tuple(map(operator.add, lam, off))
                     nxt[mu] = nxt.get(mu, 0) + cnt * len(bs)
-            levels.append(nxt)
+            levels.append(MappingProxyType(nxt))
         if len(levels[n]) > level_cap:
             raise LevelCap(f"level {n} has {len(levels[n])} vertices > cap {level_cap}")
     return GrowthGraph(kind=kind, delta=delta, levels=tuple(levels[:n_max + 1]))

@@ -18,8 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidWeight, NotInPolytope, format_weight
-from .rootdata import CartanDatum, WeylElement, dominant_representative, \
-    weight, wsub
+from .rootdata import CartanDatum, WeylElement, _pivot, _row_reduce, \
+    dominant_representative, weight, wsub
 from . import chars
 
 FLOAT_SNAP = Fraction(1, 10**9)
@@ -70,12 +70,7 @@ def l1_infeasibility(columns, target) -> Fraction:
                     best = (ratio, i)
         assert best is not None, "phase-1 objective is bounded below by zero"
         _, leave = best
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        _pivot(tab, leave, enter)
         basis[leave] = enter
     return sum(tab[i][-1] for i in range(m) if basis[i] >= n)
 
@@ -104,7 +99,9 @@ class DominantFace:
     face_weights: tuple
 
     def dim(self) -> int:
-        return _affine_rank(self.vertices)
+        """The affine rank of the vertices, by exact row reduction."""
+        base, *rest = self.vertices
+        return len(_row_reduce([wsub(v, base) for v in rest])[1])
 
 
 def admissible_depths(cartan: CartanDatum, delta, subset) -> dict:
@@ -147,31 +144,6 @@ def _admissible_subsets(cartan, delta):
             if len(depths) == r:
                 out.append(AdmissibleSet(indices=subset, depths=depths))
     return tuple(out)
-
-
-def _affine_rank(points) -> int:
-    pts = [weight(p) for p in points]
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    vecs = [wsub(p, base) for p in pts[1:]]
-    # exact row reduction
-    rows = [list(v) for v in vecs]
-    rank = 0
-    ncols = len(base)
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 @lru_cache(maxsize=None)

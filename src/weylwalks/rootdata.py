@@ -151,35 +151,29 @@ def _cartan_matrix(family: str, rank: int):
     return tuple(tuple(row) for row in a)
 
 
-def _root_lengths_sq(family: str, rank: int):
-    """Squared lengths (alpha_i, alpha_i), short roots normalized to 2."""
-    if family == "A" or family == "D":
-        return [Fraction(2)] * rank
-    if family == "B":
-        return [Fraction(4)] * (rank - 1) + [Fraction(2)]
-    if family == "C":
-        return [Fraction(2)] * (rank - 1) + [Fraction(4)]
-    if family == "G":
-        return [Fraction(2), Fraction(6)]
-    if family == "F":
-        return [Fraction(4), Fraction(4), Fraction(2), Fraction(2)]
-    raise AssertionError(family)
+def _pivot(rows, r, col):
+    """Scale row r of a Fraction matrix to 1 at col and clear col from every
+    other row, in place."""
+    lead = rows[r] = [x / rows[r][col] for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[col] != 0:
+            f = row[col]
+            rows[i] = [x - f * y for x, y in zip(row, lead)]
 
 
-def _invert_rational_matrix(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _row_reduce(rows):
+    """(rows, pivots): the reduced row echelon form of `rows` over Fractions
+    and its pivot columns, so len(pivots) is the rank."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is not None:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            _pivot(rows, r, col)
+            pivots.append(col)
+    return rows, pivots
 
 
 class CartanDatum:
@@ -196,30 +190,38 @@ class CartanDatum:
         self.family = family
         self.rank = rank
         self.cartan = _cartan_matrix(family, rank)
-        lengths = _root_lengths_sq(family, rank)
-        # d_i = 2/(alpha_i,alpha_i) makes diag(d) . cartan symmetric
-        self.symmetrizer = tuple(2 / l for l in lengths)
+        # (alpha_j, alpha_j) = A_ji (alpha_i, alpha_i) / A_ij along the Dynkin edges
+        lengths, frontier = {0: Fraction(1)}, [0]
+        while frontier:
+            i = frontier.pop()
+            for j, a_ij in enumerate(self.cartan[i]):
+                if a_ij != 0 and j not in lengths:
+                    lengths[j] = self.cartan[j][i] * lengths[i] / a_ij
+                    frontier.append(j)
+        if len(lengths) < rank:
+            raise UnsupportedType(f"the Dynkin diagram of {family}{rank} is not connected")
+        # d_i = 2/(alpha_i,alpha_i), short roots of squared length 2, makes
+        # diag(d) . cartan symmetric
+        short = min(lengths.values())
+        self.symmetrizer = tuple(short / lengths[i] for i in range(rank))
         # alpha_i in omega-coordinates is row i of the Cartan matrix
         self.alpha = self.cartan
-        at = tuple(tuple(self.cartan[j][i] for j in range(rank)) for i in range(rank))
-        self._omega_to_alpha = _invert_rational_matrix(at)
+        # C = omega->alpha is the inverse of the transposed Cartan matrix
+        identity = _identity_matrix(rank)
+        rows, pivots = _row_reduce([col + e for col, e in zip(zip(*self.cartan), identity)])
+        assert pivots == list(range(rank))
+        self._omega_to_alpha = tuple(tuple(row[rank:]) for row in rows)
         # den * C^-1 as ints: integer root coordinates by exact division
         self._alpha_den = math.lcm(*(x.denominator for row in self._omega_to_alpha
                                      for x in row))
         self._omega_to_alpha_int = tuple(tuple(int(x * self._alpha_den) for x in row)
                                          for row in self._omega_to_alpha)
-        # Gram matrix of the simple roots: (alpha_i, alpha_j) = A_ij / d_j
-        gram = [[self.cartan[i][j] / self.symmetrizer[j] for j in range(rank)]
-                for i in range(rank)]
-        assert all(gram[i][j] == gram[j][i] for i in range(rank) for j in range(rank))
-        # form on omega-coordinates: (v, u) = (Cv)^T G (Cu), C = omega->alpha
-        c = self._omega_to_alpha
-        gc = [[sum(gram[i][k] * c[k][j] for k in range(rank)) for j in range(rank)]
-              for i in range(rank)]
-        self._omega_form = tuple(
-            tuple(sum(c[k][i] * gc[k][j] for k in range(rank)) for j in range(rank))
-            for i in range(rank)
-        )
+        # form on omega-coordinates: (omega_i, omega_j) = C_ij / d_i, as
+        # (omega_i, alpha_j^vee) = delta_ij and alpha_j^vee = d_j alpha_j
+        self._omega_form = tuple(tuple(x / d for x in row)
+                                 for row, d in zip(self._omega_to_alpha, self.symmetrizer))
+        assert all(self._omega_form[i][j] == self._omega_form[j][i]
+                   for i in range(rank) for j in range(rank))
         self.positive_roots = self._generate_positive_roots()
         self.rho = (1,) * rank
         half_sum = wscale(Fraction(1, 2), reduce(wadd, self.positive_roots))
@@ -230,7 +232,7 @@ class CartanDatum:
         if self.weyl_order > WEYL_ORDER_CAP:
             raise UnsupportedType(f"Weyl group of {family}{rank} exceeds the "
                                   f"order cap {WEYL_ORDER_CAP}")
-        self.identity = WeylElement(_identity_matrix(rank), ())
+        self.identity = WeylElement(identity, ())
         # reduced word of the longest element: s_{i_k} ... s_{i_1} takes -rho to rho
         self.w0_word = tuple(reversed(self.descend((-1,) * rank)[1]))
         assert len(self.w0_word) == len(self.positive_roots)

@@ -36,6 +36,7 @@ from weylwalks import (
     weyl_dim,
     wzero,
 )
+import weylwalks.boundary as boundary_module
 from weylwalks.boundary import (
     CentralMeasure,
     _face_newton,
@@ -763,3 +764,35 @@ def test_free_exponent_matches_apply_and_root_coordinates(cartan, delta, ts):
             n = int(rng.integers(0, 12))
             assert chars.free_exponent(cartan, delta, w, n, gamma) == \
                 _reference_exponent(cartan, delta, w, n, gamma)
+
+
+def test_laws_and_residuals_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # the builtin sum compensates float rounding from Python 3.12 on; the laws
+    # and residuals add left to right, so a compensated sum changes no bit
+    a3 = build_root_system("A", 3)
+    delta = (1, 0, 0)
+
+    def values():
+        out = []
+        for t in ((0.3, 0.6, 0.8), (0.9, 0.8, 0.7)):
+            for kind, w in (("free", a3.element_of_word((1, 0))), ("chamber", a3.identity)):
+                meas = CentralMeasure(kind, boundary_point(a3, delta, t, w, canonicalize=True))
+                graph = build_growth_graph(a3, kind, delta, 6)
+                out += [meas.p(lam, n) for n in range(7) for lam in graph.levels[n]]
+                out.append(harmonicity_residual(meas, 5))
+        return out
+
+    expected = values()
+    monkeypatch.setattr(boundary_module, "sum", math.fsum, raising=False)
+    assert values() == expected
+
+
+@pytest.mark.parametrize("cartan, delta, m", [
+    (build_root_system("A", 3), (1, 0, 0), (0.9999999974881136, 0, 0)),
+    (build_root_system("F", 4), (0, 0, 0, 1), (0, 0, 0, 0.999999999)),
+])
+def test_inversion_leaving_the_box_is_no_convergence(cartan, delta, m):
+    with pytest.raises(NoConvergence, match=r"^t_\d = .* left the box$") as exc:
+        invert_drift(cartan, delta, m)
+    assert sorted(exc.value.diagnostics) == ["support", "t_i", "target"]
+    assert exc.value.diagnostics["t_i"] > 1.0 + 1e-6

@@ -310,6 +310,18 @@ def test_domain_input_errors_exit_2(capsys, args, detail):
     assert json.loads(out) == {"error": "InvalidWeight", "detail": detail}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "A3", "--delta", "1,0,0", "--m", "0.9999999974881136,0,0"],
+    ["--type", "F4", "--delta", "0,0,0,1", "--m", "0,0,0,0.999999999"],
+])
+def test_drift_inversion_near_a_vertex_exits_2(capsys, argv):
+    # Newton's t_i leaves the box next to the vertex delta: a domain error, no traceback
+    code, out, err = run_cli(capsys, "drift", "invert", *argv)
+    assert code == 2 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["error"] == "NoConvergence" and doc["detail"].endswith("left the box")
+
+
 @pytest.mark.parametrize("args,error,detail", [
     (["--mode", "chamber", "--lambda", "2,2"], "OrderViolation",
      "(1, 1) is not >= (2, 2) in the root order"),

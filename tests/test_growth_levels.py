@@ -1,5 +1,5 @@
 """Growth levels and the step rule against the builder with stored edges, the
-level cache policy, and negative levels."""
+level cache policy, read-only levels and negative levels."""
 
 import operator
 
@@ -146,6 +146,15 @@ def test_a_level_loop_computes_each_level_once(monkeypatch):
         g = build_growth_graph(A2, "chamber", (1, 1), n)
         assert len(g.levels) == n + 1
         assert len(calls) == sum(map(len, g.levels[:n]))
+
+
+def test_levels_are_read_only():
+    # a caller cannot change the cached levels that later builds extend
+    g = build_growth_graph(A2, "free", (1, 0), 2)
+    with pytest.raises(TypeError):
+        g.levels[2][(0, 0)] = 100
+    assert g.levels[2] == {(2, 0): 1, (0, 1): 2, (1, -1): 2, (-2, 2): 1, (-1, 0): 2, (0, -2): 1}
+    assert count_paths(A2, "free", (1, 0), (1, 0), 3) == 0
 
 
 def test_count_paths_at_a_negative_level_is_a_value_error():

@@ -2,6 +2,9 @@
 
 import functools
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from weylwalks import (
     wzero,
 )
 from weylwalks import chars
-from weylwalks.rootdata import _CLASSICAL, CartanDatum, _mat_apply, cartan_type
+from weylwalks import rootdata
+from weylwalks.rootdata import _CLASSICAL, CartanDatum, _mat_apply, _row_reduce, cartan_type
 
 CLASSICAL_CASES = [
     ("A", 1, 2, 1),
@@ -353,3 +357,93 @@ def test_weyl_queries_match_matrix_products(token):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             else:
                 assert got == want
+
+
+# -- the root datum from the Cartan matrix alone --------------------------------
+
+
+def _reference_lengths_sq(family, rank):
+    """The per-family table of (alpha_i, alpha_i), short roots of squared length 2."""
+    if family in "AD":
+        return [2] * rank
+    if family == "B":
+        return [4] * (rank - 1) + [2]
+    if family == "C":
+        return [2] * (rank - 1) + [4]
+    return {"G": [2, 6], "F": [4, 4, 2, 2]}[family]
+
+
+def _reference_omega_form(c):
+    """(v, u) = (Cv)^T G (Cu) with the Gram matrix G_kl = (alpha_k, alpha_l) =
+    A_kl (alpha_l, alpha_l) / 2 of the length table and C = omega -> alpha."""
+    n, lengths, to_alpha = c.rank, _reference_lengths_sq(c.family, c.rank), c._omega_to_alpha
+    gram = [[Fraction(c.cartan[k][l] * lengths[l], 2) for l in range(n)] for k in range(n)]
+    return tuple(tuple(sum(to_alpha[k][i] * gram[k][l] * to_alpha[l][j]
+                           for k in range(n) for l in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("family,rank", sorted(_CLASSICAL))
+def test_lengths_and_form_from_the_cartan_matrix_match_the_tables(family, rank):
+    c = CartanDatum(family, rank)
+    assert [2 / d for d in c.symmetrizer] == _reference_lengths_sq(family, rank)
+    assert all(type(d) is Fraction for d in c.symmetrizer)
+    # C is the inverse of the transposed Cartan matrix
+    assert [[sum(x * a for x, a in zip(row, alpha)) for alpha in c.alpha]
+            for row in c._omega_to_alpha] == [[int(i == j) for j in range(rank)]
+                                              for i in range(rank)]
+    assert c._omega_form == _reference_omega_form(c)
+    for i, a in enumerate(c.alpha):
+        assert c.pairing(a, a) == _reference_lengths_sq(family, rank)[i]
+
+
+@pytest.mark.parametrize("matrix", [((2, 0), (0, 2)), ((2, 0, 0), (0, 2, -2), (0, -1, 2))],
+                         ids=["A1xA1", "A1xB2"])
+def test_a_disconnected_diagram_is_unsupported(monkeypatch, matrix):
+    monkeypatch.setattr(rootdata, "_cartan_matrix", lambda family, rank: matrix)
+    with pytest.raises(UnsupportedType, match="not connected"):
+        CartanDatum("A", len(matrix))
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(Fraction(m[i][perm[i]]) for i in range(n))
+    return total
+
+
+def _minor_rank(m):
+    """The largest k with a nonzero k x k minor."""
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                if _leibniz_det([[m[i][j] for j in c] for i in r]):
+                    return k
+    return 0
+
+
+def test_row_reduce_against_determinants_and_ranks():
+    rng = random.Random(3)
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = [[rng.choice([0, 0, -2, -1, 1, 2, 3]) for _ in range(n_cols)]
+             for _ in range(n_rows)]
+        rows, pivots = _row_reduce(m)
+        assert len(pivots) == _minor_rank(m)
+        # reduced row echelon form: unit pivots, cleared pivot columns, zero rows last
+        for r, col in enumerate(pivots):
+            assert rows[r][col] == 1 and not any(rows[r][:col])
+            assert all(rows[i][col] == 0 for i in range(n_rows) if i != r)
+        assert all(not any(row) for row in rows[len(pivots):])
+        assert all(type(x) is Fraction for row in rows for x in row)
+        if n_rows == n_cols:
+            # [m | 1] reduces to [1 | m^-1] exactly when det m != 0
+            ident = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
+            rows, pivots = _row_reduce([row + e for row, e in zip(m, ident)])
+            det = _leibniz_det(m)
+            assert (pivots == list(range(n_rows))) == (det != 0)
+            if det:
+                assert _leibniz_det([row[n_rows:] for row in rows]) == 1 / det
