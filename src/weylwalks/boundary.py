@@ -60,8 +60,7 @@ class BoundaryPoint:
     default cap).  Nothing is computed at construction; the quantities every
     law reads are computed lazily, once per point:
     - s_delta = S_delta(t) and its log, log_s_delta;
-    - zeros, the i with t_i = 0, and log_t, the pairs (i, log t_i) for t_i
-      not in {0, 1}, in index order;
+    - log_t, the pairs (i, log t_i) for t_i != 1 in index order, log 0 = -inf;
     - monomials, the free step law's t^(delta - w gamma), and from them
       step_law, its nonzero probabilities (gamma, K_gamma mono / S_delta),
       the drift and letter_monomials, one per letter of B(delta).
@@ -87,12 +86,9 @@ class BoundaryPoint:
         return math.log(self.s_delta)
 
     @cached_property
-    def zeros(self) -> tuple:
-        return tuple(i for i, x in enumerate(self.t) if x == 0.0)
-
-    @cached_property
     def log_t(self) -> tuple:
-        return tuple((i, math.log(x)) for i, x in enumerate(self.t) if x not in (0.0, 1.0))
+        return tuple((i, math.log(x) if x else -math.inf)
+                     for i, x in enumerate(self.t) if x != 1.0)
 
     @cached_property
     def monomials(self) -> dict:
@@ -197,14 +193,12 @@ def _sum_in_order(terms):
 def _law_value(point: BoundaryPoint, e, n, log_factor=0.0) -> float:
     """exp(log_factor) t^e / S_delta^n in log space (S_delta^n overflows near
     n = 340 for the A2 adjoint); 0**0 = 1, and an underflow gives 0.0.  The
-    logs are the point's, computed once: log_s_delta, and log_t, which with
-    zeros leaves out every t_i in {0, 1}.
+    logs are the point's, computed once: log_s_delta, and log_t, which leaves
+    out every t_i = 1 and holds -inf for t_i = 0, so exp gives 0.0 there.
 
     Factors equal to 1 are skipped, so n and e may be any ints: every other log
     is at least 2^-53 in magnitude and negative, and an n or k past the float
     range (OverflowError) puts the exponent below -1e292."""
-    if any(e[i] for i in point.zeros):
-        return 0.0
     log_s = point.log_s_delta
     try:
         return math.exp(log_factor - (n * log_s if log_s else 0.0)
@@ -591,8 +585,9 @@ def harmonic_function_check(cartan: CartanDatum, delta, t, n_max: int = 4) -> fl
     """Residual of the c-harmonicity of h(lam) = s_lam(t) with c = s_delta(t)/Z.
 
     max over dominant vertices lam at levels <= n_max of
-    |s_lam(t) - (1/(cZ)) sum_mu e(lam, mu) s_mu(t)|; t must lie in (0, 1]^d
-    and n_max must be nonnegative."""
+    |s_lam(t) - (1/(cZ)) sum_mu e(lam, mu) s_mu(t)|, with N_lam read from the
+    chamber measure at t.  ValueError unless t lies in (0, 1]^d, n_max is
+    nonnegative and (t, delta) is a boundary point, so delta is nonzero."""
     t = tuple(float(x) for x in t)
     if not all(0 < x <= 1 for x in t):
         raise ValueError("t must lie in the half-open box (0, 1]^d")
@@ -600,13 +595,12 @@ def harmonic_function_check(cartan: CartanDatum, delta, t, n_max: int = 4) -> fl
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
 
     cz = s_hat_t(cartan, delta, t)  # c Z = s_delta(t)
-    levels = paths.build_growth_graph(cartan, "chamber", delta, n_max + 1).levels
     # s_lam(t) = S_{lam,lam}(t) / t^lam with S_{lam,lam} = N_lam / N_0
-    lams = list(dict.fromkeys(lam for level in levels for lam in level))
-    nums = chars.weyl_numerator_batch(cartan, [(0,) * cartan.rank] + lams, t).tolist()
-    s_val = {lam: num / nums[0] / chars.monomial(t, cartan.alpha_coords(lam))
-             for lam, num in zip(lams, nums[1:])}
-    return _harmonic_residual(cartan, "chamber", delta, n_max, lambda lam, n: s_val[lam], cz)
+    num = CentralMeasure("chamber", boundary_point(cartan, delta, t)).numerator
+    n_0 = num((0,) * cartan.rank)
+    return _harmonic_residual(
+        cartan, "chamber", delta, n_max,
+        lambda lam, n: num(lam) / n_0 / chars.monomial(t, cartan.alpha_coords(lam)), cz)
 
 
 # -- exports ---------------------------------------------------------------------------

@@ -104,13 +104,12 @@ def sample_trajectory(measure, steps: int, seed) -> Trajectory:
     return Trajectory(letters=tuple(letters), positions=tuple(path), seed=seed)
 
 
-def lln_check(measure, steps: int, reps: int, seed: int = 0,
-              threshold: float = LLN_PASS_THRESHOLD) -> SimReport:
+def lln_check(measure, steps: int, reps: int, seed: int = 0) -> SimReport:
     """Check tau(n)/n against the drift, sup-norm per rep.
 
-    The 0.05 default threshold at n = 5000 is about 3.5 standard errors for
-    increments bounded by the weight diameter of the letter alphabet, so a
-    false failure is a < 1e-3 event per coordinate."""
+    The report passes below LLN_PASS_THRESHOLD: 0.05 at n = 5000 is about 3.5
+    standard errors for increments bounded by the weight diameter of the
+    letter alphabet, so a false failure is a < 1e-3 event per coordinate."""
     if steps < 1000:
         raise ValueError("LLN checks need at least 1000 steps")
     if reps < 1:
@@ -130,7 +129,7 @@ def lln_check(measure, steps: int, reps: int, seed: int = 0,
         target_drift=tuple(float(x) for x in target),
         max_deviation=max(deviations),
         deviations=tuple(deviations),
-        threshold=threshold,
+        threshold=LLN_PASS_THRESHOLD,
     )
 
 

@@ -612,6 +612,32 @@ def test_harmonic_function_check_examples():
         harmonic_function_check(A1, (1,), (0.0,))
 
 
+def _batch_harmonic_function_check(cartan, delta, t, n_max=4):
+    # the evaluator it replaced: its own level list and one numerator batch
+    t = tuple(float(x) for x in t)
+    cz = s_hat_t(cartan, delta, t)
+    levels = build_growth_graph(cartan, "chamber", delta, n_max + 1).levels
+    lams = list(dict.fromkeys(lam for level in levels for lam in level))
+    nums = chars.weyl_numerator_batch(cartan, [(0,) * cartan.rank] + lams, t).tolist()
+    s_val = {lam: num / nums[0] / chars.monomial(t, cartan.alpha_coords(lam))
+             for lam, num in zip(lams, nums[1:])}
+    return boundary_module._harmonic_residual(cartan, "chamber", delta, n_max,
+                                              lambda lam, n: s_val[lam], cz)
+
+
+@pytest.mark.parametrize("cartan, delta, t", [
+    (A2, (1, 0), (1.0, 1.0)), (A2, (1, 0), (0.5, 0.8)), (A2, (1, 0), (0.9, 0.4)),
+    (A1, (1,), (1.0,)), (A1, (1,), (0.5,)), (G2, G2_SEVEN, (0.7, 0.2)),
+], ids=["A2-ones", "A2-demo", "A2-example", "A1-ones", "A1-half", "G2"])
+def test_harmonic_function_check_reads_the_chamber_numerators(cartan, delta, t):
+    # a numerator's value does not depend on the batch it came from
+    assert harmonic_function_check(cartan, delta, t) == \
+        _batch_harmonic_function_check(cartan, delta, t)
+    # delta = 0 is no boundary point (the batch evaluator returns 0.0)
+    with pytest.raises(ValueError, match="restricted box"):
+        harmonic_function_check(cartan, (0,) * cartan.rank, t)
+
+
 # -- validation and exports ------------------------------------------------------------
 
 
@@ -752,6 +778,42 @@ def test_law_evaluators_match_the_per_call_formulas_bitwise(cartan, delta, ts):
                     if kind == "free":
                         assert _outcome(meas.kernel_row, lam) == \
                             _outcome(_reference_free_row, point, lam)
+
+
+def _zeros_law_value(point, e, n, log_factor=0.0):
+    # the evaluator with a separate table of zero coordinates and an early return
+    if any(e[i] for i, x in enumerate(point.t) if x == 0.0):
+        return 0.0
+    log_s = point.log_s_delta
+    try:
+        return math.exp(log_factor - (n * log_s if log_s else 0.0)
+                        + boundary_module._sum_in_order(
+                            e[i] * math.log(x) for i, x in enumerate(point.t)
+                            if x not in (0.0, 1.0) and e[i]))
+    except OverflowError:
+        return 0.0
+
+
+@pytest.mark.parametrize("cartan, delta, ts", LAW_CASES,
+                         ids=[f"{c.family}{c.rank}" for c, _, _ in LAW_CASES])
+def test_face_points_read_log_zero_as_minus_infinity(cartan, delta, ts):
+    from itertools import product
+
+    for t in ts:
+        point = boundary_point(cartan, delta, t)
+        assert point.log_t == tuple((i, math.log(x) if x else -math.inf)
+                                    for i, x in enumerate(point.t) if x != 1.0)
+        if 0.0 not in point.t:
+            continue
+        zero = point.t.index(0.0)
+        exps = list(product(range(3), repeat=cartan.rank))
+        exps += [tuple(big if i == zero else 1 for i in range(cartan.rank))
+                 for big in (10**6, 10**400)]
+        for e in exps:
+            for n in (0, 1, 7, 10**6, 10**400):
+                for log_factor in (0.0, -1.5, 2.0):
+                    assert _law_value(point, e, n, log_factor) == \
+                        _zeros_law_value(point, e, n, log_factor), (t, e, n, log_factor)
 
 
 @pytest.mark.parametrize("cartan, delta, ts", LAW_CASES,

@@ -1,6 +1,7 @@
-"""Package surface: exports resolved on first use, and a CLI that starts the
-exact subcommands without numpy."""
+"""Package surface: exports resolved on first use, a CLI that starts the
+exact subcommands without numpy, and no unused module-level import."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -99,3 +100,30 @@ def test_root_info_loads_root_data_alone():
     assert proc.stderr.split() == ["False", "weylwalks.cli", "weylwalks.errors",
                                    "weylwalks.rootdata"]
     assert '"weyl_order": 1152' in proc.stdout
+
+
+def _unused_imports(source):
+    """Names that the module-level imports of `source` bind and that nothing
+    else in it reads (`from __future__` aside)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_unused_import_check_sees_bound_names():
+    assert _unused_imports("import os.path\nimport numpy as np\n"
+                           "from a import b, c as d\nprint(np, d)\n") == [(1, "os"), (3, "b")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (Path(SRC) / "weylwalks").glob("*.py")))
+def test_every_module_level_import_is_used(module):
+    source = (Path(SRC) / "weylwalks" / module).read_text()
+    assert _unused_imports(source) == []
