@@ -12,6 +12,7 @@ measure's cached Weyl numerators, so no law builds a module beyond V(delta).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -63,7 +64,9 @@ class BoundaryPoint:
     - log_t, the pairs (i, log t_i) for t_i != 1 in index order, log 0 = -inf;
     - monomials, the free step law's t^(delta - w gamma), and from them
       step_law, its nonzero probabilities (gamma, K_gamma mono / S_delta),
-      the drift and letter_monomials, one per letter of B(delta).
+      the drift and letter_monomials, one per letter of B(delta);
+    - numerator_pack, the per-point part of the Weyl numerators
+      (chars.NumeratorPack).
     """
 
     def __init__(self, cartan: CartanDatum, delta, t, w: WeylElement):
@@ -116,6 +119,10 @@ class BoundaryPoint:
         s_delta = self.s_delta
         return [(g, q) for k, (g, mono) in zip(mults, self.monomials.items())
                 if (q := k * mono / s_delta)]
+
+    @cached_property
+    def numerator_pack(self) -> chars.NumeratorPack:
+        return chars.NumeratorPack(self.cartan, self.t)
 
     @cached_property
     def drift(self) -> tuple:
@@ -320,11 +327,34 @@ def invert_drift(cartan: CartanDatum, delta, m) -> BoundaryPoint:
 
 
 @lru_cache(maxsize=None)
-def _two_step_offsets(cartan, delta):
-    """The steps of at most two letters of B(delta): 0, E and E + E, E the
-    endpoints (paths._letter_table)."""
+def _two_step_offsets(cartan, delta, clipped):
+    """The steps of at most two letters of B(delta), 0, E and E + E (E the
+    endpoints, paths._letter_table), that keep lam dominant, for every lam
+    with min(lam, 2 cap) = clipped: no coordinate of an endpoint is below
+    -cap."""
     ends = set(paths._letter_table(cartan, delta)[0]) | {(0,) * cartan.rank}
-    return tuple(sorted({wadd(a, b) for a in ends for b in ends}))
+    return tuple(off for off in sorted({wadd(a, b) for a in ends for b in ends})
+                 if min(map(operator.add, clipped, off)) >= 0)
+
+
+def _pairwise_sum(xs) -> float:
+    """np.add.reduce of a list of floats, bit for bit, without an array: numpy's
+    pairwise sum.  Under 8 terms, left to right from 0.0; up to 128, eight
+    lanes (every eighth term from the first n - n % 8, left to right) joined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the n % 8 terms
+    left over; above 128, the two halves split at n/2 rounded down to a
+    multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        return functools.reduce(operator.add, xs, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    m = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = (functools.reduce(operator.add, xs[j:m:8])
+                                      for j in range(8))
+    return functools.reduce(operator.add, xs[m:],
+                            ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
 
 
 class CentralMeasure:
@@ -337,11 +367,15 @@ class CentralMeasure:
     S_{nu,nu} = N_nu/N_0 (chars.weyl_numerator_batch), so N_0 cancels.  Rows,
     p and the sampler read one numerator cache; a miss at lam fills every
     uncached dominant weight within two letter steps of lam in one batch, so
-    the first row out of any target of lam makes no call.  Rows read the
-    chamber case of the step rule (paths.steps), which depends on lam only
-    through min(lam, cap) (paths._letter_table), so each clipped weight caches
-    its offsets, coefficients len(bs) t^(delta - e_b)
-    (BoundaryPoint.letter_monomials) and letters.
+    the first row out of any target of lam makes no call.  Weights past the
+    point's deep bound (chars.NumeratorPack) have N = 1.0 exactly and go into
+    no batch.  Rows read the chamber case of the step rule (paths.steps),
+    which depends on lam only through min(lam, cap) (paths._letter_table), so
+    each clipped weight caches its offsets, coefficients len(bs)
+    t^(delta - e_b) (BoundaryPoint.letter_monomials) and letters.  A row out of
+    lam >= cap whose lam and targets are all deep has every N = 1.0, so all
+    such rows share one (probabilities, CDF, letters), built once by the same
+    float operations; only their targets are built per row.
     """
 
     def __init__(self, kind: str, point: BoundaryPoint):
@@ -358,19 +392,88 @@ class CentralMeasure:
         self.numerators = {}
         self.patterns = {}
 
+    @cached_property
+    def _cap(self):
+        """The largest letter thresholds (paths._letter_table): a row depends on
+        lam only through min(lam, cap), and which weights within two steps of
+        lam are dominant only through min(lam, 2 cap), _reach."""
+        return paths._letter_table(self.cartan, self.delta)[2]
+
+    @cached_property
+    def _reach(self):
+        return tuple(2 * c for c in self._cap)
+
+    @cached_property
+    def _span(self):
+        """The largest coordinates of a two-step offset, twice the largest
+        endpoint coordinates (0 where none is positive); the steps out of
+        lam >= cap have every endpoint as offset."""
+        return tuple(2 * max(0, *col) for col in zip(*self._pattern(self._cap)[0]))
+
     def _fill(self, lam):
-        """One batch for the uncached dominant weights within two steps of lam."""
+        """One batch for the uncached dominant weights within two steps of lam
+        that are not deep; none when every such weight is deep."""
         nums = self.numerators
-        new = [nu for off in _two_step_offsets(self.cartan, self.delta)
-               if (nu := tuple(map(operator.add, lam, off))) not in nums and min(nu) >= 0]
-        nums.update(zip(new, chars.weyl_numerator_batch(
-            self.cartan, new, self.point.t).tolist()))
+        new = [nu for off in _two_step_offsets(self.cartan, self.delta,
+                                               tuple(map(min, lam, self._reach)))
+               if (nu := tuple(map(operator.add, lam, off))) not in nums]
+        pack = self.point.numerator_pack
+        deep, ones = pack.deep, []
+        # a weight of the ball can be deep only if lam + _span is
+        if deep and all(map(operator.le, deep, map(operator.add, lam, self._span))):
+            ones = [nu for nu in new if all(map(operator.le, deep, nu)) and max(nu) <= pack.limit]
+            new = [nu for nu in new if nu not in ones]
+        if new:  # InvalidWeight past the int64 limit, and then nothing is stored
+            nums.update(zip(new, chars.weyl_numerator_batch(pack, new).tolist()))
+        nums.update(dict.fromkeys(ones, 1.0))
 
     def numerator(self, lam) -> float:
         """N_lam(t) for the int weight lam, from the shared cache."""
         if lam not in self.numerators:
             self._fill(lam)
         return self.numerators[lam]
+
+    def _pattern(self, clipped):
+        """(offsets, coefficients, letters) of the chamber steps out of every lam
+        with min(lam, cap) = clipped."""
+        pattern = self.patterns.get(clipped)
+        if pattern is None:
+            moves = paths.steps(self.cartan, "chamber", self.delta, clipped)
+            monos = self.point.letter_monomials
+            pattern = self.patterns[clipped] = (
+                [off for off, _ in moves],
+                [len(bs) * monos[bs[0]] for _, bs in moves],
+                [bs for _, bs in moves])
+        return pattern
+
+    def _row(self, coefs, nums, n_lam):
+        """(probabilities, CDF) of a row with target numerators nums out of a
+        weight with numerator n_lam."""
+        # tests/chamber_walk_golden.json pins these float operations (numpy's pairwise sum)
+        scale = self.point.s_delta * n_lam
+        probs = [c * n / scale for c, n in zip(coefs, nums)]
+        total = _pairwise_sum(probs)
+        assert abs(total - 1.0) < chars.ROW_TOL, f"kernel row sums to {total}"
+        probs = [q / total for q in probs]
+        if not all(q >= 0 for q in probs):
+            raise ValueError("probabilities are not non-negative")
+        cdf = list(itertools.accumulate(probs))
+        return probs, [c / cdf[-1] for c in cdf]
+
+    @cached_property
+    def _deep(self):
+        """(lo, hi, probabilities, CDF, letters), None when nothing is deep: lam
+        in [lo, hi] has lam >= cap and lam and its targets deep, so its row has
+        every numerator 1.0, and hi keeps lam's two-step ball inside the int64
+        limit, past which _fill refuses lam."""
+        pack = self.point.numerator_pack
+        if pack.deep is None:
+            return None
+        offsets, coefs, letters = self._pattern(self._cap)  # every letter's endpoint
+        return (tuple(max(d - min(0, *col), c)
+                      for d, col, c in zip(pack.deep, zip(*offsets), self._cap)),
+                tuple(pack.limit - s for s in self._span),
+                *self._row(coefs, [1.0] * len(coefs), 1.0), letters)
 
     def table(self, lam):
         """Cached chamber step table out of the int weight lam: (targets,
@@ -383,30 +486,17 @@ class CentralMeasure:
         cached = self.tables.get(lam)
         if cached is not None:
             return cached
-        pt = self.point
-        clipped = tuple(map(min, lam, paths._letter_table(self.cartan, self.delta)[2]))
-        pattern = self.patterns.get(clipped)
-        if pattern is None:
-            moves = paths.steps(self.cartan, "chamber", self.delta, clipped)
-            pattern = self.patterns[clipped] = (
-                [off for off, _ in moves],
-                [len(bs) * pt.letter_monomials[bs[0]] for _, bs in moves],
-                [bs for _, bs in moves])
-        offsets, coefs, letters = pattern
+        clipped = tuple(map(min, lam, self._cap))
+        offsets, coefs, letters = self._pattern(clipped)
         mus = [tuple(map(operator.add, lam, off)) for off in offsets]
-        nums = self.numerators
-        if lam not in nums or not all(map(nums.__contains__, mus)):
-            self._fill(lam)
-        # tests/chamber_walk_golden.json pins these float operations (numpy's pairwise sum)
-        scale = pt.s_delta * nums[lam]
-        probs = [c * nums[mu] / scale for c, mu in zip(coefs, mus)]
-        total = float(np.add.reduce(probs))
-        assert abs(total - 1.0) < chars.ROW_TOL, f"kernel row sums to {total}"
-        probs = [q / total for q in probs]
-        if not all(q >= 0 for q in probs):
-            raise ValueError("probabilities are not non-negative")
-        cdf = list(itertools.accumulate(probs))
-        out = (mus, probs, [c / cdf[-1] for c in cdf], letters)
+        deep = self._deep
+        if deep and all(map(operator.le, deep[0], lam)) and all(map(operator.le, lam, deep[1])):
+            out = (mus, *deep[2:])
+        else:
+            nums = self.numerators
+            if lam not in nums or not all(map(nums.__contains__, mus)):
+                self._fill(lam)
+            out = (mus, *self._row(coefs, [nums[mu] for mu in mus], nums[lam]), letters)
         self.tables[lam] = out
         return out
 

@@ -9,9 +9,10 @@ parameters are safe.  Weyl numerators (weyl_numerator_batch) read one int
 table of terms per weight, an alternating sum over the minimal coset
 representatives of W_I\\W (by the sign test: the u with u(rho)_i > 0 for i in
 I): exponent rows, signs and coroot pairings.  The table is summed in
-binary64, or, when that sum cancels, in integers and rounded once.  numpy is
-imported inside the float evaluators only (evaluate_S, the Toeplitz minors,
-_coset_pack, weyl_numerator_batch), which build their arrays from the int
+binary64, or, when that sum cancels, in integers and rounded once; the
+per-point part of that work is one NumeratorPack.  numpy is imported inside
+the float evaluators only (evaluate_S, the Toeplitz minors, _coset_pack,
+NumeratorPack, weyl_numerator_batch), which build their arrays from the int
 tables, so the exact layers and the CLI subcommands built on them start
 without it.
 """
@@ -408,8 +409,47 @@ def _exact_sum(coefs, exps, t) -> float:
     return total / math.prod(q**m for (_, q), m in zip(ratios, top))
 
 
-def weyl_numerator_batch(cartan: CartanDatum, lams, t):
-    """N_lambda(t) for a stack of weights at one t in [0,1]^d, as a float array.
+class NumeratorPack:
+    """The per-point part of weyl_numerator_batch at one t in [0,1]^d, built
+    once per point and read by every batch there: t as floats, I = {i : t_i = 1}
+    and the zero coordinates, _coset_pack(cartan, I), log t_i (0 for t_i = 0,
+    whose terms are zeroed), the transposed coroot matrix of Phi_I^+, and deep,
+    the least nu_i past which N_nu(t) is exactly 1.0 (None when some t_i = 1).
+
+    deep: for u != id, (nu+rho) - u(nu+rho) >= (nu_i+1) alpha_i for some simple
+    i, because s_i <= u in the Bruhat order (Humphreys, Reflection Groups and
+    Coxeter Groups, 5.9-5.10).  With I = () the identity term is exp(0) = 1.0
+    and the other |W| - 1 terms add up to at most (|W| - 1) max_i t_i^(nu_i+1).
+    deep_i is the least nu_i with (|W| - 1) t_i^(nu_i+1) < 2^-55 (0 where
+    t_i = 0).  The factor 2 below 2^-54 covers the rounding of that test and of
+    the float terms (relative errors near 1e-12), so every partial sum of the
+    other terms in numpy's pairwise sum stays below 2^-54 in magnitude, and
+    1.0 plus such a sum rounds to 1.0 (ties to even at 1 - 2^-54).  The guard
+    |W| 2^-53 / (ROW_TOL/4) is at most 0.52 up to rank 4, so the sum is kept:
+    a weight nu with deep_i <= nu_i <= limit for every i has the numerator 1.0.
+    """
+
+    def __init__(self, cartan: CartanDatum, t):
+        import numpy as np
+
+        self.cartan = cartan
+        self.t = [float(x) for x in t]
+        self.ones = tuple(i for i, x in enumerate(self.t) if x == 1.0)
+        self.zeros = [i for i, x in enumerate(self.t) if x == 0.0]
+        self.images, self.lifts, self.dets, coroots, self.guard, self.limit = \
+            _coset_pack(cartan, self.ones)
+        self.coroots = np.array(coroots).T if self.ones else None
+        self.log_t = np.log([ti if ti else 1.0 for ti in self.t])
+        if self.ones:
+            self.deep = None
+        else:
+            bound = math.log(2.0**-55 / (len(self.dets) - 1))
+            self.deep = tuple(math.floor(bound / math.log(ti)) if ti else 0 for ti in self.t)
+
+
+def weyl_numerator_batch(pack: NumeratorPack, lams):
+    """N_lambda(t) for a stack of weights at the pack's t in [0,1]^d, as a float
+    array.
 
     With I = {i : t_i = 1}, N_lambda(t) sums det(u) t^((lam+rho) - u(lam+rho))
     prod_{alpha in Phi_I^+} <u(lam+rho), alpha^vee> over the minimal coset
@@ -422,27 +462,32 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t):
     kappa |W/W_I| 2^-53 over ROW_TOL / 4, has the same table summed in integers
     and rounded once (_exact_sum).  A weight with a coordinate past the pack's
     int64 limit, or whose pairing product overflows binary64 (F4 at t = 1 near
-    lambda = 10^14), is an InvalidWeight.
+    lambda = 10^14), is an InvalidWeight.  Past NumeratorPack.deep the value is
+    exactly 1.0.
     """
     import numpy as np
 
-    t = [float(x) for x in t]
-    ones = tuple(i for i, x in enumerate(t) if x == 1.0)
-    zeros = [i for i, x in enumerate(t) if x == 0.0]
-    images, lifts, dets, coroots, guard, limit = _coset_pack(cartan, ones)
-    if lams and not -limit <= min(map(min, lams)) <= max(map(max, lams)) <= limit:
+    cartan, limit, dets = pack.cartan, pack.limit, pack.dets
+    flat = list(itertools.chain.from_iterable(lams))
+    if flat and not -limit <= min(flat) <= max(flat) <= limit:
         big = max(lams, key=lambda lam: max(map(abs, lam)))
         raise InvalidWeight(f"the Weyl numerator of {format_weight(big)} overflows int64 "
                             f"(coordinates at most {limit} in absolute value)")
-    x = np.fromiter(itertools.chain.from_iterable(lams), np.int64).reshape(-1, cartan.rank)
+    x = np.array(flat, dtype=np.int64).reshape(-1, cartan.rank)
     x += 1  # lam + rho
-    exps = (x @ lifts).reshape(len(lams), len(dets), cartan.rank)
-    # row-wise reductions, not matmuls: a weight's value does not depend on its batch
-    terms = np.exp((exps * np.log([ti if ti else 1.0 for ti in t])).sum(axis=2))
-    if zeros:
-        terms[(exps[:, :, zeros] > 0).any(axis=2)] = 0.0
-    if ones:
-        pairings = (x @ images).reshape(len(lams), len(dets), cartan.rank) @ np.array(coroots).T
+    exps = (x @ pack.lifts).reshape(len(lams), len(dets), cartan.rank)
+    # row-wise sums, not matmuls: a weight's value does not depend on its batch.  Each
+    # exponent adds its rank (<= 4) products left to right, as numpy's reduction of
+    # fewer than 8 terms does from 0.0, which can change only the sign of a zero sum
+    logs = exps * pack.log_t
+    exponent = logs[..., 0]
+    for i in range(1, cartan.rank):
+        exponent = exponent + logs[..., i]
+    terms = np.exp(exponent)
+    if pack.zeros:
+        terms[(exps[:, :, pack.zeros] > 0).any(axis=2)] = 0.0
+    if pack.ones:
+        pairings = (x @ pack.images).reshape(len(lams), len(dets), cartan.rank) @ pack.coroots
         # inside the int64 limit the binary64 product can still overflow: F4 at t = 1
         # multiplies 24 pairings, and past about 2^43 each that passes the float range
         with np.errstate(over="ignore"):
@@ -455,9 +500,9 @@ def weyl_numerator_batch(cartan: CartanDatum, lams, t):
         terms *= products
     nums = (terms * dets).sum(axis=1)
     # terms are >= 0 before det(u) = +-1: guard sum(terms) / nums is the bound over ROW_TOL / 4
-    for k, kept in enumerate((nums >= guard * terms.sum(axis=1)).tolist()):
+    for k, kept in enumerate((nums >= pack.guard * terms.sum(axis=1)).tolist()):
         if not kept:
-            rows = pairings[k].tolist() if ones else [()] * len(dets)
+            rows = pairings[k].tolist() if pack.ones else [()] * len(dets)
             coefs = [int(d) * math.prod(r) for d, r in zip(dets.tolist(), rows)]
-            nums[k] = _exact_sum(coefs, exps[k].tolist(), t)
+            nums[k] = _exact_sum(coefs, exps[k].tolist(), pack.t)
     return nums

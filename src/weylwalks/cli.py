@@ -178,6 +178,16 @@ def _emit(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _plain(value):
+    """A diagnostics value with every float (numpy's included) as its repr, as
+    the CLI prints floats, so the JSON stays strict at inf and nan."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed namespace; returns the process exit code."""
     if args.group == "verify":
@@ -269,7 +279,10 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except WeylWalksError as exc:
-        print(_emit({"error": type(exc).__name__, "detail": str(exc)}))
+        doc = {"error": type(exc).__name__, "detail": str(exc)}
+        if getattr(exc, "diagnostics", None):
+            doc["diagnostics"] = {k: _plain(v) for k, v in exc.diagnostics.items()}
+        print(_emit(doc))
         return 2
 
 

@@ -1,7 +1,9 @@
 """Boundary points, the morphism values, drift inversion and central measures."""
 
+import functools
 import json
 import math
+import operator
 import re
 import time
 from fractions import Fraction
@@ -483,6 +485,12 @@ def test_harmonicity_a2_interior_example():
     assert harmonicity_residual(meas, 3) < 1e-12
 
 
+def _add_left_to_right(terms):
+    """The terms added in order, as the library does: from Python 3.12 the
+    builtin sum compensates rounding, and these references are compared with ==."""
+    return functools.reduce(operator.add, terms, 0)
+
+
 def _per_edge_residual(measure, n_max):
     """Harmonicity residual with p evaluated once per incoming edge."""
     from weylwalks.paths import build_growth_graph, steps
@@ -492,8 +500,8 @@ def _per_edge_residual(measure, n_max):
     for n in range(n_max + 1):
         for lam in g.levels[n]:
             lhs = measure.p(lam, n)
-            rhs = sum(len(bs) * measure.p(wadd(lam, off), n + 1) for off, bs in
-                      steps(measure.cartan, measure.kind, measure.delta, lam))
+            rhs = _add_left_to_right(len(bs) * measure.p(wadd(lam, off), n + 1) for off, bs in
+                                     steps(measure.cartan, measure.kind, measure.delta, lam))
             worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -618,7 +626,8 @@ def _batch_harmonic_function_check(cartan, delta, t, n_max=4):
     cz = s_hat_t(cartan, delta, t)
     levels = build_growth_graph(cartan, "chamber", delta, n_max + 1).levels
     lams = list(dict.fromkeys(lam for level in levels for lam in level))
-    nums = chars.weyl_numerator_batch(cartan, [(0,) * cartan.rank] + lams, t).tolist()
+    nums = chars.weyl_numerator_batch(chars.NumeratorPack(cartan, t),
+                                      [(0,) * cartan.rank] + lams).tolist()
     s_val = {lam: num / nums[0] / chars.monomial(t, cartan.alpha_coords(lam))
              for lam, num in zip(lams, nums[1:])}
     return boundary_module._harmonic_residual(cartan, "chamber", delta, n_max,
@@ -694,7 +703,8 @@ def _reference_law_value(t, e, n, s_delta, log_factor=0.0):
         return 0.0
     try:
         return math.exp(log_factor - (n * math.log(s_delta) if s_delta != 1.0 else 0.0)
-                        + sum(k * math.log(ti) for ti, k in zip(t, e) if k and ti != 1.0))
+                        + _add_left_to_right(k * math.log(ti) for ti, k in zip(t, e)
+                                             if k and ti != 1.0))
     except OverflowError:
         return 0.0
 
@@ -858,3 +868,21 @@ def test_inversion_leaving_the_box_is_no_convergence(cartan, delta, m):
         invert_drift(cartan, delta, m)
     assert sorted(exc.value.diagnostics) == ["support", "t_i", "target"]
     assert exc.value.diagnostics["t_i"] > 1.0 + 1e-6
+
+
+def test_pairwise_sum_matches_numpy_bitwise():
+    # chamber rows sum their probabilities with numpy's pairwise sum in plain
+    # Python: the bits of np.add.reduce for lengths 1-300, mixed signs and
+    # magnitudes and signed zeros; a left-to-right sum differs past 7 terms
+    rng = np.random.default_rng(8)
+    differs = 0
+    for n in range(1, 301):
+        for _ in range(12):
+            xs = rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-12, 13, n)
+            if rng.random() < 0.2:
+                xs[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])
+            xs = xs.tolist()
+            got = boundary_module._pairwise_sum(xs)
+            assert got.hex() == float(np.add.reduce(xs)).hex(), xs
+            differs += got != _add_left_to_right(xs)
+    assert differs > 1000

@@ -29,6 +29,7 @@ from weylwalks.chars import (
     decompose_character,
     exterior_power_weights,
     monomial,
+    NumeratorPack,
     weyl_numerator_batch,
     wedge_sequence_values,
 )
@@ -404,8 +405,8 @@ def test_weyl_numerator_ratio_matches_direct_character():
             (G2, (1, 0), [(1, 0), (1, 1)]), (A3, (1, 0, 0), [(1, 0, 1), (0, 2, 0)]),
             (C3, (1, 0, 0), [(1, 1, 0), (0, 0, 1)])]:
         for t in box_patterns(cartan, delta, rng) + box_patterns(cartan, delta, rng):
-            nums = weyl_numerator_batch(cartan, [weight(lam) for lam in lams]
-                                        + [wzero(cartan.rank)], t)
+            nums = weyl_numerator_batch(NumeratorPack(cartan, t),
+                                        [weight(lam) for lam in lams] + [wzero(cartan.rank)])
             for lam, num in zip(lams, nums):
                 assert num / nums[-1] == pytest.approx(evaluate_S(cartan, lam, t),
                                                        rel=1e-12)
@@ -419,14 +420,14 @@ def test_weyl_numerator_does_not_depend_on_its_batch():
                           (C3, (1, 0, 0))]:
         lams = [tuple(int(c) for c in rng.integers(0, 6, cartan.rank)) for _ in range(25)]
         for t in box_patterns(cartan, delta, rng):  # interior, face and t_i = 1
-            batch = weyl_numerator_batch(cartan, lams, t).tolist()
+            batch = weyl_numerator_batch(NumeratorPack(cartan, t), lams).tolist()
             for lam, num in zip(lams, batch):
-                assert num == weyl_numerator_batch(cartan, [lam], t)[0], (t, lam)
+                assert num == weyl_numerator_batch(NumeratorPack(cartan, t), [lam])[0], (t, lam)
 
 
 def test_weyl_numerator_empty_batch():
     for t in [(0.3, 0.4), (1.0, 0.4), (0.3, 0.0)]:
-        assert weyl_numerator_batch(A2, [], t).shape == (0,)
+        assert weyl_numerator_batch(NumeratorPack(A2, t), []).shape == (0,)
 
 
 @pytest.mark.parametrize("family,rank", sorted(_CLASSICAL))
@@ -442,10 +443,10 @@ def test_weyl_numerator_int64_limit(family, rank):
         expected = math.prod(
             2 * cartan.pairing(shifted, a) / cartan.pairing(a, a) for a in cartan.positive_roots
             if all(c == 0 for k, c in enumerate(cartan.alpha_coords(a)) if k not in ones))
-        (num,) = weyl_numerator_batch(cartan, [(limit,) * rank], t)
+        (num,) = weyl_numerator_batch(NumeratorPack(cartan, t), [(limit,) * rank])
         assert num == pytest.approx(float(expected), rel=1e-12)
         with pytest.raises(InvalidWeight, match="overflows int64"):
-            weyl_numerator_batch(cartan, [(0,) * (rank - 1) + (limit + 1,)], t)
+            weyl_numerator_batch(NumeratorPack(cartan, t), [(0,) * (rank - 1) + (limit + 1,)])
 
 
 def test_weyl_numerator_pairing_product_past_binary64():
@@ -461,8 +462,8 @@ def test_weyl_numerator_pairing_product_past_binary64():
         with pytest.raises(InvalidWeight, match=r"^the Weyl numerator of \(100000000000000, "
                                                 r"100000000000000, 100000000000000, "
                                                 r"100000000000000\) overflows binary64"):
-            weyl_numerator_batch(f4, [small, big], ones)
-        (num,) = weyl_numerator_batch(f4, [small], ones)
+            weyl_numerator_batch(NumeratorPack(f4, ones), [small, big])
+        (num,) = weyl_numerator_batch(NumeratorPack(f4, ones), [small])
     shifted = wadd(small, f4.rho)
     expected = math.prod(2 * f4.pairing(shifted, a) / f4.pairing(a, a)
                          for a in f4.positive_roots)
@@ -475,7 +476,7 @@ def test_weyl_numerator_float_sum_is_exact_on_faces(monkeypatch):
     monkeypatch.setattr(chars, "_exact_sum", None)
     for cartan, lam in [(A2, (2, 1)), (B2, (1, 1)), (G2, (1, 0)), (A3, (1, 0, 1))]:
         for t in itertools.product((0.0, 0.4, 1.0), repeat=cartan.rank):
-            num, den = weyl_numerator_batch(cartan, [lam, (0,) * cartan.rank], t)
+            num, den = weyl_numerator_batch(NumeratorPack(cartan, t), [lam, (0,) * cartan.rank])
             assert num / den == pytest.approx(evaluate_S(cartan, lam, t), rel=1e-13)
 
 
@@ -516,6 +517,90 @@ def test_rank_four_exact_numerator_is_the_coset_sum(monkeypatch, family, lam):
               (1.0, near, 1.0, near), (0.0, near, near, 1.0)]:  # t_i = 1, face
         for mu in (lam, (0,) * 4):
             before = len(calls)
-            (num,) = weyl_numerator_batch(cartan, [mu], t)
+            (num,) = weyl_numerator_batch(NumeratorPack(cartan, t), [mu])
             assert len(calls) == before + 1, (t, mu)
             assert num == _coset_sum_reference(cartan, mu, t), (t, mu)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3),
+                                         ("B", 3), ("D", 4)])
+def test_weyl_numerator_is_one_past_the_deep_bound(family, rank):
+    # for u != id, (lam+rho) - u(lam+rho) >= (lam_i+1) alpha_i for some i, so the
+    # |W| - 1 other terms add up to at most (|W| - 1) max_i t_i^(lam_i+1): past
+    # NumeratorPack.deep that is below 2^-55 and the batch returns exactly 1.0,
+    # as the coset sum rounded once does; deep_i is the least such lam_i
+    cartan = build_root_system(family, rank)
+    rng = np.random.default_rng(31 + rank)
+    bound = Fraction(2) ** -55
+    for face in (False, True):
+        for _ in range(3):
+            t = [float(x) for x in 0.05 + 0.9 * rng.random(rank)]
+            if face:
+                t[int(rng.integers(rank))] = 0.0
+            pack = NumeratorPack(cartan, t)
+            assert len(pack.dets) == cartan.weyl_order
+            for ti, d in zip(t, pack.deep):
+                if ti == 0.0:
+                    assert d == 0
+                    continue
+                assert (cartan.weyl_order - 1) * Fraction(ti) ** (d + 1) < bound * (1 + 1e-12)
+                assert (cartan.weyl_order - 1) * Fraction(ti) ** d >= bound * (1 - 1e-12)
+            near = [tuple(d + int(k) for d, k in zip(pack.deep, rng.integers(0, 3, rank)))
+                    for _ in range(8)]
+            far = [tuple(d + int(k) for d, k in zip(pack.deep, rng.integers(0, 10**6, rank)))
+                   for _ in range(8)]
+            assert weyl_numerator_batch(pack, near + far).tolist() == [1.0] * 16, t
+            if rank < 4:
+                assert all(_coset_sum_reference(cartan, lam, t) == 1.0 for lam in near[:3]), t
+
+
+def test_weyl_numerator_has_no_deep_bound_at_one():
+    # with some t_i = 1 the identity term is a product of coroot pairings, not 1
+    for t in [(1.0, 0.3), (0.2, 1.0), (1.0, 1.0)]:
+        assert NumeratorPack(A2, t).deep is None
+    assert NumeratorPack(A2, (0.2, 0.0)).deep == (NumeratorPack(A2, (0.2, 0.3)).deep[0], 0)
+
+
+def _parent_numerator_batch(cartan, lams, t):
+    """The batch before NumeratorPack: every per-point table rebuilt per call and
+    the exponents summed by numpy's reduction."""
+    t = [float(x) for x in t]
+    ones = tuple(i for i, x in enumerate(t) if x == 1.0)
+    zeros = [i for i, x in enumerate(t) if x == 0.0]
+    images, lifts, dets, coroots, guard, _ = chars._coset_pack(cartan, ones)
+    x = np.array(lams, dtype=np.int64).reshape(-1, cartan.rank) + 1
+    exps = (x @ lifts).reshape(len(lams), len(dets), cartan.rank)
+    terms = np.exp((exps * np.log([ti if ti else 1.0 for ti in t])).sum(axis=2))
+    if zeros:
+        terms[(exps[:, :, zeros] > 0).any(axis=2)] = 0.0
+    if ones:
+        pairings = (x @ images).reshape(len(lams), len(dets), cartan.rank) @ np.array(coroots).T
+        terms *= np.prod(pairings.astype(float), axis=2)
+    nums = (terms * dets).sum(axis=1)
+    return [num if num >= guard * s else None for num, s in zip(nums, terms.sum(axis=1))]
+
+
+def test_numpy_sums_a_short_last_axis_left_to_right():
+    # weyl_numerator_batch adds each exponent's rank products left to right in
+    # place of numpy's sum over the last axis: equal up to the sign of a zero sum
+    rng = np.random.default_rng(3)
+    for rank in range(1, 5):
+        logs = rng.integers(0, 60, (200, 24, rank)) * np.log(rng.random(rank))
+        left = logs[..., 0]
+        for i in range(1, rank):
+            left = left + logs[..., i]
+        assert (left == logs.sum(axis=2)).all()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3),
+                                         ("C", 3), ("B", 4), ("D", 4)])
+def test_weyl_numerator_keeps_the_float_bits(family, rank):
+    # the per-point tables come from the pack and the exponents add left to
+    # right: every float-path numerator has the bits of the batch it replaced
+    cartan = build_root_system(family, rank)
+    rng = np.random.default_rng(47)
+    for t in box_patterns(cartan, tuple([1] + [0] * (rank - 1)), rng):
+        lams = [tuple(int(c) for c in rng.integers(0, 40, rank)) for _ in range(12)]
+        got = weyl_numerator_batch(NumeratorPack(cartan, t), lams).tolist()
+        for lam, num, ref in zip(lams, got, _parent_numerator_batch(cartan, lams, t)):
+            assert ref is None or num.hex() == ref.hex(), (t, lam)

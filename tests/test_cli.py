@@ -315,11 +315,15 @@ def test_domain_input_errors_exit_2(capsys, args, detail):
     ["--type", "F4", "--delta", "0,0,0,1", "--m", "0,0,0,0.999999999"],
 ])
 def test_drift_inversion_near_a_vertex_exits_2(capsys, argv):
-    # Newton's t_i leaves the box next to the vertex delta: a domain error, no traceback
+    # Newton's t_i leaves the box next to the vertex delta: a domain error, no
+    # traceback, with the exception's diagnostics in strict JSON
     code, out, err = run_cli(capsys, "drift", "invert", *argv)
     assert code == 2 and "Traceback" not in err
     doc = json.loads(out)
     assert doc["error"] == "NoConvergence" and doc["detail"].endswith("left the box")
+    assert sorted(doc["diagnostics"]) == ["support", "t_i", "target"]
+    assert float(doc["diagnostics"]["t_i"]) > 1.0 + 1e-6
+    json.dumps(doc, allow_nan=False)
 
 
 @pytest.mark.parametrize("args,error,detail", [

@@ -5,7 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,10 @@ from weylwalks import (
     wsub,
     wzero,
 )
-from weylwalks import chars
+from weylwalks import chars, paths, polytope
 from weylwalks.chars import monomial
 from weylwalks.boundary import CentralMeasure
-from weylwalks.errors import EnumerationCap, NotDominantDrift
+from weylwalks.errors import EnumerationCap, InvalidWeight, NotDominantDrift
 from weylwalks.montecarlo import (
     _free_letter_probs,
     _pitman_law,
@@ -172,7 +172,8 @@ def test_chamber_rows_sum_to_one_on_closed_box(cartan, delta):
         for lam in lams:
             lam = int_weight(lam)
             moves = [(wadd(lam, off), bs) for off, bs in steps(cartan, "chamber", delta, lam)]
-            nums = chars.weyl_numerator_batch(cartan, [lam] + [mu for mu, _ in moves], t)
+            nums = chars.weyl_numerator_batch(chars.NumeratorPack(cartan, t),
+                                              [lam] + [mu for mu, _ in moves])
             total = sum(len(bs) * monomial(t, chars.free_exponent(
                             cartan, delta, cartan.identity, 1, wsub(mu, lam))) * num
                         for (mu, bs), num in zip(moves, nums[1:]))
@@ -328,12 +329,77 @@ def test_negative_kernel_entry_is_rejected(monkeypatch):
     real = chars.weyl_numerator_batch
     skew = {(0,): -1.0, (2,): (1.0 + p_down) / p_up}  # the row out of (1,) still sums to 1
 
-    def skewed(cartan, lams, t):
-        return real(cartan, lams, t) * [skew.get(lam, 1.0) for lam in lams]
+    def skewed(pack, lams):
+        return real(pack, lams) * [skew.get(lam, 1.0) for lam in lams]
 
     monkeypatch.setattr(chars, "weyl_numerator_batch", skewed)
     with pytest.raises(ValueError, match="probabilities are not non-negative"):
         meas.kernel_row((1,))
+
+
+def _parent_row(cartan, delta, point, lam):
+    """The row builder before deep rows: every numerator from one batch and
+    numpy's sum, as tests/chamber_walk_golden.json was recorded."""
+    moves = steps(cartan, "chamber", delta, lam)
+    mus = [wadd(lam, off) for off, _ in moves]
+    n_lam, *nums = chars.weyl_numerator_batch(chars.NumeratorPack(cartan, point.t),
+                                              [lam] + mus).tolist()
+    scale = point.s_delta * n_lam
+    probs = [len(bs) * point.letter_monomials[bs[0]] * n / scale
+             for (_, bs), n in zip(moves, nums)]
+    total = float(np.add.reduce(probs))
+    probs = [q / total for q in probs]
+    cdf = list(accumulate(probs))
+    return mus, probs, [c / cdf[-1] for c in cdf], [bs for _, bs in moves]
+
+
+@pytest.mark.parametrize("cartan,delta", [(A1, (1,)), (A1, (2,)), (A2, (1, 0)), (A2, (1, 1)),
+                                          (B2, (1, 0)), (B2, (0, 1)), (G2, (1, 0)),
+                                          (A3, (1, 0, 0))])
+def test_deep_rows_share_the_parent_row_bitwise(monkeypatch, cartan, delta):
+    # past the deep bound every numerator is 1.0: those rows share one
+    # (probabilities, CDF, letters) and make no batch, and around the corner of
+    # that region every row, shared or not, has the parent builder's bits
+    rng = np.random.default_rng(17)
+    cap = paths._letter_table(cartan, delta)[2]
+    for face in (False, True):
+        t = [float(x) for x in 0.15 + 0.7 * rng.random(cartan.rank)]
+        if face:
+            support = min(polytope.admissible_subsets(cartan, delta),
+                          key=lambda a: len(a.indices)).indices
+            t = [x if i in support else 0.0 for i, x in enumerate(t)]
+        point = boundary_point(cartan, delta, t)
+        corner = tuple(d + c for d, c in zip(point.numerator_pack.deep, cap))
+        batches = []
+        real = chars.weyl_numerator_batch
+        monkeypatch.setattr(chars, "weyl_numerator_batch",
+                            lambda *args: batches.append(1) or real(*args))
+        meas = CentralMeasure("chamber", point)
+        far = tuple(c + int(k) for c, k in zip(corner, rng.integers(0, 10**9, cartan.rank)))
+        shared = [meas.table(corner), meas.table(far)]
+        meas.numerator(far)
+        assert batches == [] and shared[0][1] is shared[1][1]
+        lams = [lam for ks in product(range(-2, 2), repeat=cartan.rank)
+                if min(lam := tuple(c + k for c, k in zip(corner, ks))) >= 0]
+        rows = [meas.table(lam) for lam in lams]
+        monkeypatch.undo()
+        for lam, row in zip([corner, far] + lams, shared + rows):
+            assert row == _parent_row(cartan, delta, point, lam), (t, lam)
+
+
+def test_deep_rows_keep_the_int64_limit():
+    # a deep row whose two-step ball stays inside the int64 limit is served;
+    # one past it is refused, as the batch refuses the ball
+    meas = chamber_measure(A2, (1, 1), (0.3, 0.2))
+    limit = meas.point.numerator_pack.limit
+    mus, probs, _, _ = meas.table((limit - 4, limit - 4))
+    assert max(map(max, mus)) == limit - 2 and probs is meas.table((60, 60))[1]
+    for lam in [(limit - 3, limit - 3), (limit - 4, limit + 1), (2**62, 2**62)]:
+        with pytest.raises(InvalidWeight, match="overflows int64"):
+            meas.kernel_row(lam)
+        if lam[0] == lam[1]:  # n delta - lam in the root lattice
+            with pytest.raises(InvalidWeight, match="overflows int64"):
+                meas.p(lam, 2**63)
 
 
 def test_chamber_sampler_endpoint_distribution():
