@@ -299,6 +299,8 @@ def exterior_power_char(cartan: CartanDatum, delta, k: int) -> dict:
 
 # -- total positivity ---------------------------------------------------------
 
+MINOR_CHUNK = 200000  # matrix entries per numpy batch of Toeplitz minors
+
 
 def wedge_sequence_values(cartan: CartanDatum, delta, t, w: WeylElement) -> list:
     """a_k = value of the k-th exterior-power character under the morphism (t, w).
@@ -321,12 +323,13 @@ def wedge_sequence_values(cartan: CartanDatum, delta, t, w: WeylElement) -> list
     return out
 
 
-def toeplitz_min_minor(seq, kmax: int, chunk: int = 200000) -> float:
+def toeplitz_min_minor(seq, kmax: int) -> float:
     """Minimum over the k x k minors, k <= kmax, of the lower-triangular Toeplitz
     matrix of seq, truncated to the window [0, len(seq) + kmax).
 
     Row/column index sets are enumerated over the window; determinants are
-    batched through numpy in chunks to bound memory.
+    batched through numpy, about MINOR_CHUNK matrix entries at a time, to bound
+    memory.
     """
     import numpy as np
 
@@ -340,7 +343,7 @@ def toeplitz_min_minor(seq, kmax: int, chunk: int = 200000) -> float:
     for k in range(2, kmax + 1):
         combos = np.array(list(itertools.combinations(range(size), k)))
         nc = len(combos)
-        rows_per_batch = max(1, chunk // (nc * k * k))
+        rows_per_batch = max(1, MINOR_CHUNK // (nc * k * k))
         for start in range(0, nc, rows_per_batch):
             rows = combos[start:start + rows_per_batch]
             sub = mat[rows[:, None, :, None], combos[None, :, None, :]]

@@ -202,8 +202,11 @@ def locate(cartan: CartanDatum, delta, m, strict: bool = True) -> LocateResult:
     vanish off J; the face is the smallest such J.
 
     Float input is snapped at 1e-9 and read with a 1e-9 slack on the simple-root
-    coordinates, below which they are projected to zero; exact input is read
-    exactly.  With strict=True a point outside raises NotInPolytope.
+    coordinates, below which they are projected to zero; when that projection
+    leaves the dominant chamber (near a vertex, where some coordinates fall
+    below the slack and others do not), y is kept and the face is read from its
+    positive coordinates.  Exact input is read exactly.  With strict=True a
+    point outside raises NotInPolytope.
     """
     delta = weight(delta)
     slack = FLOAT_SNAP if any(isinstance(c, float) for c in m) else Fraction(0)
@@ -215,8 +218,12 @@ def locate(cartan: CartanDatum, delta, m, strict: bool = True) -> LocateResult:
         return LocateResult(inside=False, y=y, w=w, face=None)
     support = {k for k, c in enumerate(coords) if abs(c) > slack}
     if slack:
-        y = wsub(delta, cartan.from_alpha(
+        projected = wsub(delta, cartan.from_alpha(
             [c if k in support else Fraction(0) for k, c in enumerate(coords)]))
+        if cartan.is_dominant(projected):
+            y = projected
+        else:
+            support = {k for k, c in enumerate(coords) if c > 0}
     face = next(adm for adm in admissible_subsets(cartan, delta)
                 if support <= set(adm.indices))
     return LocateResult(inside=True, y=y, w=w, face=face)

@@ -47,7 +47,8 @@ from weylwalks.boundary import (
     stabilizer_set,
 )
 from weylwalks.errors import format_weight
-from weylwalks.rootdata import check_rank, int_weight, wadd
+from weylwalks.polytope import admissible_subsets
+from weylwalks.rootdata import _CLASSICAL, check_rank, int_weight, wadd
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -859,30 +860,56 @@ def test_laws_and_residuals_keep_their_bits_under_a_compensated_sum(monkeypatch)
     assert values() == expected
 
 
-@pytest.mark.parametrize("cartan, delta, m", [
+NEAR_VERTEX = [
     (build_root_system("A", 3), (1, 0, 0), (0.9999999974881136, 0, 0)),
     (build_root_system("F", 4), (0, 0, 0, 1), (0, 0, 0, 0.999999999)),
-])
-def test_inversion_leaving_the_box_is_no_convergence(cartan, delta, m):
+]
+
+
+@pytest.mark.parametrize("cartan, delta, m", NEAR_VERTEX)
+def test_inversion_near_a_vertex_round_trips(cartan, delta, m):
+    # some simple-root coordinates of delta - y fall below the 1e-9 slack and
+    # some do not; projecting only the small ones would leave the chamber
+    pt = invert_drift(cartan, delta, m)
+    assert max(abs(a - b) for a, b in zip(pt.drift, m)) < 1e-8
+    assert pt.w == cartan.identity and max(pt.t) <= 1.0
+
+
+@pytest.mark.parametrize("cartan, delta, m", NEAR_VERTEX)
+def test_inversion_leaving_the_box_is_no_convergence(monkeypatch, cartan, delta, m):
+    # a face solution with some t_i past 1 + 1e-6 is refused with diagnostics
+    monkeypatch.setattr(boundary_module, "_face_newton",
+                        lambda cartan, delta, support, target: dict.fromkeys(support, 1.0))
     with pytest.raises(NoConvergence, match=r"^t_\d = .* left the box$") as exc:
         invert_drift(cartan, delta, m)
     assert sorted(exc.value.diagnostics) == ["support", "t_i", "target"]
-    assert exc.value.diagnostics["t_i"] > 1.0 + 1e-6
+    assert exc.value.diagnostics["t_i"] == math.e
 
 
-def test_pairwise_sum_matches_numpy_bitwise():
-    # chamber rows sum their probabilities with numpy's pairwise sum in plain
-    # Python: the bits of np.add.reduce for lengths 1-300, mixed signs and
-    # magnitudes and signed zeros; a left-to-right sum differs past 7 terms
-    rng = np.random.default_rng(8)
-    differs = 0
-    for n in range(1, 301):
-        for _ in range(12):
-            xs = rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-12, 13, n)
-            if rng.random() < 0.2:
-                xs[rng.random(n) < 0.5] = rng.choice([0.0, -0.0])
-            xs = xs.tolist()
-            got = boundary_module._pairwise_sum(xs)
-            assert got.hex() == float(np.add.reduce(xs)).hex(), xs
-            differs += got != _add_left_to_right(xs)
-    assert differs > 1000
+@pytest.mark.parametrize("family, rank", sorted(_CLASSICAL))
+def test_inversion_round_trips_near_vertices_faces_and_walls(family, rank):
+    # m = (1 - eps) v for vertices v of W delta, (1 - eps) times the image of a
+    # dominant face's midpoint of two vertices, and points within eps of a wall,
+    # eps log-uniform over 1e-11..1e-6: each round-trips within 1e-8
+    cartan = build_root_system(family, rank)
+    delta = (0, 0, 0, 1) if family == "F" else (1,) + (0,) * (rank - 1)
+    verts = cartan.orbit(delta)
+    adms = [a.indices for a in admissible_subsets(cartan, delta)]
+    rng = np.random.default_rng(7)
+    for k in range(72):
+        eps = 10.0 ** rng.uniform(-11, -6)
+        if k % 3 == 0:
+            m = [(1 - eps) * c for c in verts[int(rng.integers(len(verts)))]]
+        elif k % 3 == 1:
+            face = cartan.orbit(delta, adms[int(rng.integers(len(adms)))])
+            a, b = (face[int(j)] for j in rng.integers(len(face), size=2))
+            w = cartan.elements[int(rng.integers(cartan.weyl_order))]
+            m = [(1 - eps) * c for c in cartan.apply(w, tuple((x + y) / 2 for x, y in zip(a, b)))]
+        else:
+            mix = rng.dirichlet(np.ones(len(verts)))
+            x = tuple(float(sum(c * v[i] for c, v in zip(mix, verts))) for i in range(rank))
+            mirror = cartan.reflect(x, int(rng.integers(rank)))
+            m = [(a + b) / 2 + eps * (a - b) for a, b in zip(x, mirror)]
+        m = tuple(float(c) for c in m)
+        pt = invert_drift(cartan, delta, m)
+        assert max(abs(a - b) for a, b in zip(pt.drift, m)) < 1e-8, m

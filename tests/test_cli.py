@@ -310,14 +310,31 @@ def test_domain_input_errors_exit_2(capsys, args, detail):
     assert json.loads(out) == {"error": "InvalidWeight", "detail": detail}
 
 
-@pytest.mark.parametrize("argv", [
+NEAR_VERTEX = [
     ["--type", "A3", "--delta", "1,0,0", "--m", "0.9999999974881136,0,0"],
     ["--type", "F4", "--delta", "0,0,0,1", "--m", "0,0,0,0.999999999"],
-])
-def test_drift_inversion_near_a_vertex_exits_2(capsys, argv):
-    # Newton's t_i leaves the box next to the vertex delta: a domain error, no
-    # traceback, with the exception's diagnostics in strict JSON
+]
+
+
+@pytest.mark.parametrize("argv", NEAR_VERTEX)
+def test_drift_inversion_near_a_vertex_exits_0(capsys, argv):
+    # next to the vertex delta, the point's drift is m within 1e-8
     code, out, err = run_cli(capsys, "drift", "invert", *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    m = [float(Fraction(c)) for c in argv[-1].split(",")]
+    assert max(abs(float(d) - c) for d, c in zip(doc["drift"], m)) < 1e-8
+    assert doc["w_word"] == [] and max(map(float, doc["t"])) <= 1.0
+
+
+def test_drift_inversion_no_convergence_exits_2(capsys, monkeypatch):
+    # a NoConvergence is a domain error, no traceback, with the exception's
+    # diagnostics in strict JSON
+    import weylwalks.boundary as boundary_module
+
+    monkeypatch.setattr(boundary_module, "_face_newton",
+                        lambda cartan, delta, support, target: dict.fromkeys(support, 1.0))
+    code, out, err = run_cli(capsys, "drift", "invert", *NEAR_VERTEX[0])
     assert code == 2 and "Traceback" not in err
     doc = json.loads(out)
     assert doc["error"] == "NoConvergence" and doc["detail"].endswith("left the box")

@@ -1,7 +1,9 @@
 """Samplers, LLN checks, and exact Pitman equality in law."""
 
+import functools
 import json
 import math
+import operator
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +59,7 @@ A3 = build_root_system("A", 3)
 C3 = build_root_system("C", 3)
 B3 = build_root_system("B", 3)
 D4 = build_root_system("D", 4)
+B4 = build_root_system("B", 4)
 
 
 def interior_measure(cartan, delta, kind, seed=0):
@@ -337,9 +340,10 @@ def test_negative_kernel_entry_is_rejected(monkeypatch):
         meas.kernel_row((1,))
 
 
-def _parent_row(cartan, delta, point, lam):
+def _parent_row(cartan, delta, point, lam, add=np.add.reduce):
     """The row builder before deep rows: every numerator from one batch and
-    numpy's sum, as tests/chamber_walk_golden.json was recorded."""
+    numpy's sum, as tests/chamber_walk_golden.json was recorded; below 8 terms
+    it adds left to right.  `add` replaces the sum."""
     moves = steps(cartan, "chamber", delta, lam)
     mus = [wadd(lam, off) for off, _ in moves]
     n_lam, *nums = chars.weyl_numerator_batch(chars.NumeratorPack(cartan, point.t),
@@ -347,7 +351,7 @@ def _parent_row(cartan, delta, point, lam):
     scale = point.s_delta * n_lam
     probs = [len(bs) * point.letter_monomials[bs[0]] * n / scale
              for (_, bs), n in zip(moves, nums)]
-    total = float(np.add.reduce(probs))
+    total = float(add(probs))
     probs = [q / total for q in probs]
     cdf = list(accumulate(probs))
     return mus, probs, [c / cdf[-1] for c in cdf], [bs for _, bs in moves]
@@ -360,6 +364,7 @@ def test_deep_rows_share_the_parent_row_bitwise(monkeypatch, cartan, delta):
     # past the deep bound every numerator is 1.0: those rows share one
     # (probabilities, CDF, letters) and make no batch, and around the corner of
     # that region every row, shared or not, has the parent builder's bits
+    # (these rows have fewer than 8 targets)
     rng = np.random.default_rng(17)
     cap = paths._letter_table(cartan, delta)[2]
     for face in (False, True):
@@ -377,14 +382,40 @@ def test_deep_rows_share_the_parent_row_bitwise(monkeypatch, cartan, delta):
         meas = CentralMeasure("chamber", point)
         far = tuple(c + int(k) for c, k in zip(corner, rng.integers(0, 10**9, cartan.rank)))
         shared = [meas.table(corner), meas.table(far)]
-        meas.numerator(far)
         assert batches == [] and shared[0][1] is shared[1][1]
+        assert meas.numerator(far) == 1.0
         lams = [lam for ks in product(range(-2, 2), repeat=cartan.rank)
                 if min(lam := tuple(c + k for c, k in zip(corner, ks))) >= 0]
         rows = [meas.table(lam) for lam in lams]
         monkeypatch.undo()
         for lam, row in zip([corner, far] + lams, shared + rows):
             assert row == _parent_row(cartan, delta, point, lam), (t, lam)
+
+
+@pytest.mark.parametrize("cartan,delta", [(A2, (2, 1)), (B4, (1, 0, 0, 0))])
+def test_rows_of_eight_or_more_targets_add_left_to_right(cartan, delta):
+    # rows add their probabilities left to right, bit for bit, also past the 7
+    # terms up to which that is numpy's sum; a deep row included
+    rng = np.random.default_rng(31)
+    cap = paths._letter_table(cartan, delta)[2]
+
+    def in_order(xs):
+        return functools.reduce(operator.add, xs, 0.0)
+
+    pairwise_differs = 0
+    for _ in range(2):
+        t = [float(x) for x in 0.15 + 0.7 * rng.random(cartan.rank)]
+        point = boundary_point(cartan, delta, t)
+        meas = CentralMeasure("chamber", point)
+        corner = tuple(d + c for d, c in zip(point.numerator_pack.deep, cap))
+        lams = [corner] + [tuple(c + int(k) for c, k in zip(cap, rng.integers(0, 6, cartan.rank)))
+                           for _ in range(12 if cartan.rank == 2 else 3)]
+        for lam in lams:
+            row = meas.table(lam)
+            assert len(row[0]) >= 8
+            assert row == _parent_row(cartan, delta, point, lam, in_order), (t, lam)
+            pairwise_differs += row != _parent_row(cartan, delta, point, lam)
+    assert pairwise_differs > 0  # numpy's pairwise sum moves the last bit of some
 
 
 def test_deep_rows_keep_the_int64_limit():

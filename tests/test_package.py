@@ -2,6 +2,7 @@
 exact subcommands without numpy, and no unused module-level import."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -127,3 +128,18 @@ def test_unused_import_check_sees_bound_names():
 def test_every_module_level_import_is_used(module):
     source = (Path(SRC) / "weylwalks" / module).read_text()
     assert _unused_imports(source) == []
+
+
+def test_benchmark_trace_points_resolve():
+    # perfbench/spans.py wraps each (module, attribute path) of SPANS by getattr,
+    # so renaming or deleting one of them breaks the traced benchmark runs
+    tree = ast.parse((Path(SRC).parent / "perfbench" / "spans.py").read_text())
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    assert spans
+    for module_name, attr_path in spans:
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr_path)
