@@ -213,14 +213,11 @@ def _law_value(point: BoundaryPoint, e, n, log_factor=0.0) -> float:
         return 0.0
 
 
-def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
-    """psi(t,w)(e^gamma, n) = t^(n delta - w gamma) / S_delta(t)^n.
-
-    gamma must be a weight of the n-th tensor power (NotAWeight otherwise);
-    the value is multiplicative under concatenation.  The weights of
+def _level_weight(point: BoundaryPoint, gamma, n: int) -> tuple:
+    """gamma as an int tuple; NotAWeight unless it is a weight of the n-th
+    tensor power, InvalidWeight when it has the wrong rank.  The weights of
     V(delta)^(x)n are those of V(n delta), so gamma is one iff it is integral
-    and n delta minus its dominant representative lies in Q+ (saturation).
-    InvalidWeight when gamma has the wrong rank."""
+    and n delta minus its dominant representative lies in Q+ (saturation)."""
     cartan = point.cartan
     check_rank(cartan, gamma)
     g = int_weight(gamma)
@@ -228,9 +225,23 @@ def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
         chars.free_exponent(cartan, point.delta, cartan.identity, n, cartan.descend(g)[0])
     if below is None or min(below) < 0:
         raise NotAWeight(f"{format_weight(gamma)} is not a weight at level {n}")
-    e = chars.free_exponent(cartan, point.delta, point.w, n, g)
+    return g
+
+
+def _free_law(point: BoundaryPoint, g, n: int) -> float:
+    """psi(t,w)(e^g, n) for an int weight g at level n (_level_weight)."""
+    e = chars.free_exponent(point.cartan, point.delta, point.w, n, g)
     assert min(e) >= 0
     return _law_value(point, e, n)
+
+
+def psi_eval(point: BoundaryPoint, gamma, n: int) -> float:
+    """psi(t,w)(e^gamma, n) = t^(n delta - w gamma) / S_delta(t)^n.
+
+    gamma must be a weight of the n-th tensor power (NotAWeight otherwise,
+    _level_weight); the value is multiplicative under concatenation.
+    InvalidWeight when gamma has the wrong rank."""
+    return _free_law(point, _level_weight(point, gamma, n), n)
 
 
 # -- drift inversion -------------------------------------------------------------
@@ -357,6 +368,13 @@ class CentralMeasure:
     lam >= cap whose lam and targets are all deep has every N = 1.0, so all
     such rows share one (probabilities, CDF, letters), built once by the same
     float operations; only their targets are built per row.
+
+    Laws of both kinds are validated once, in p, and evaluated once per
+    (lam, n): the measure's law table `laws` holds every value p or the
+    growth-level laws (harmonicity_residual, pitman_equality_in_law) asked
+    for, and lives and dies with the measure.  Those growth-level laws read
+    the unchecked evaluator _law, because the vertices of
+    paths.build_growth_graph are valid by construction.
     """
 
     def __init__(self, kind: str, point: BoundaryPoint):
@@ -372,6 +390,7 @@ class CentralMeasure:
         self.tables = {}
         self.numerators = {}
         self.patterns = {}
+        self.laws = {}
 
     @cached_property
     def _cap(self):
@@ -468,17 +487,34 @@ class CentralMeasure:
         return out
 
     def p(self, lam, n: int) -> float:
-        """Probability of any single length-n path ending at lam."""
+        """Probability of any single length-n path ending at lam: lam is
+        validated (free: psi_eval's weight test; chamber: a dominant integral
+        weight), then read from the law table (_law)."""
         if self.kind == "free":
-            return psi_eval(self.point, lam, n)
-        cartan = self.cartan
-        top = chars.check_weight(cartan, lam)
-        e = chars.free_exponent(cartan, self.delta, cartan.identity, n, top)
-        if e is None or min(e) < 0:
-            raise OrderViolation(f"{format_weight(tuple(n * c for c in self.delta))} "
-                                 f"is not >= {format_weight(top)} in the root order")
-        num = self.numerator  # S_{lam,lam} = N_lam / N_0
-        return _law_value(self.point, e, n, math.log(num(top) / num((0,) * len(top))))
+            return self._law(_level_weight(self.point, lam, n), n)
+        return self._law(chars.check_weight(self.cartan, lam), n)
+
+    def _law(self, top, n: int) -> float:
+        """p(top, n) for an int weight top as p validates it, memoized in the
+        law table: free, psi(t,w)(e^top, n) (_free_law); chamber,
+        OrderViolation unless n delta >= top, else t^(n delta - top) N_top /
+        N_0 / S_delta^n from the numerator cache."""
+        key = top, n
+        value = self.laws.get(key)
+        if value is not None:
+            return value
+        if self.kind == "free":
+            value = _free_law(self.point, top, n)
+        else:
+            cartan = self.cartan
+            e = chars.free_exponent(cartan, self.delta, cartan.identity, n, top)
+            if e is None or min(e) < 0:
+                raise OrderViolation(f"{format_weight(tuple(n * c for c in self.delta))} "
+                                     f"is not >= {format_weight(top)} in the root order")
+            num = self.numerator  # S_{lam,lam} = N_lam / N_0
+            value = _law_value(self.point, e, n, math.log(num(top) / num((0,) * len(top))))
+        self.laws[key] = value
+        return value
 
     def kernel_row(self, lam) -> dict:
         """Transition probabilities out of lam (from any level, homogeneous),
@@ -536,7 +572,7 @@ def harmonicity_residual(measure: CentralMeasure, n_max: int) -> float:
     """max over n <= n_max and level-n vertices of
     |p(lam, n) - sum_mu e(lam, mu) p(mu, n+1)|."""
     return _harmonic_residual(measure.cartan, measure.kind, measure.delta, n_max,
-                              measure.p)
+                              measure._law)
 
 
 # -- c-harmonic classification -------------------------------------------------------

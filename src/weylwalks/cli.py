@@ -16,10 +16,10 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DEFAULT_DIM_CAP, DEFAULT_LEVEL_CAP, WeylWalksError
-from .rootdata import cartan_type
-# the layers (and numpy with the float ones) are imported by the branches that
-# use them, so `root info` loads rootdata alone and the exact subcommands start
-# without numpy
+# the layers (and numpy with the float ones) are imported by the code that uses
+# them: rootdata by the --type parser, so `--help` and usage errors before it
+# load no layer, `root info` loads rootdata alone and the exact subcommands
+# start without numpy
 
 
 def _token(token: str, decimal):
@@ -42,6 +42,8 @@ _drift_coords = partial(_coords, decimal=float)
 
 
 def _cartan_token(text: str):
+    from .rootdata import cartan_type
+
     try:
         return cartan_type(text)
     except WeylWalksError:

@@ -183,7 +183,7 @@ def pitman_equality_in_law(cartan: CartanDatum, delta, m, n: int,
 
     exact = {}
     for lam, cnt in paths.build_growth_graph(cartan, "chamber", delta, n).levels[n].items():
-        exact[lam] = cnt * chamber.p(lam, n)
+        exact[lam] = cnt * chamber._law(lam, n)
 
     tv = 0.0
     for lam in set(pushed) | set(exact):

@@ -517,18 +517,102 @@ def test_harmonicity_residual_matches_per_edge_reference():
 
 
 def test_harmonicity_detector_catches_perturbation():
-    pt = boundary_point(A1, (1,), (0.5,))
-    meas = CentralMeasure("chamber", pt)
+    # the residual reads the unchecked evaluator, so the perturbation goes there
+    class Broken(CentralMeasure):
+        def _law(self, top, n):
+            return super()._law(top, n) + (1e-3 if n == 2 else 0.0)
 
-    class Broken:
-        kind = meas.kind
-        cartan = meas.cartan
-        delta = meas.delta
+    assert harmonicity_residual(Broken("chamber", boundary_point(A1, (1,), (0.5,))), 3) >= 5e-4
 
-        def p(self, lam, n):
-            return meas.p(lam, n) + (1e-3 if n == 2 else 0.0)
 
-    assert harmonicity_residual(Broken(), 3) >= 5e-4
+def law_table_points(cartan, delta):
+    """(kind, point) at an interior, a face and a t_1 = 1 point, chamber points
+    for chamber measures and random w for free ones."""
+    rng = np.random.default_rng(31)
+    face = admissible_subsets(cartan, delta)[-2].indices  # the largest proper support
+    full = range(cartan.rank)
+    return [(kind, random_boundary_point(cartan, delta, rng, chamber=kind == "chamber",
+                                         force_support=support, force_ones=ones))
+            for kind in ("free", "chamber")
+            for support, ones in ((full, ()), (face, ()), (full, (0,)))]
+
+
+@pytest.mark.parametrize("cartan, delta", SUITE)
+def test_law_table_keeps_every_bit(cartan, delta):
+    # p on a fresh measure, p once harmonicity_residual has filled the law table
+    # and psi_eval agree bit for bit, whatever form the weight comes in
+    for kind, pt in law_table_points(cartan, delta):
+        warm = CentralMeasure(kind, pt)
+        harmonicity_residual(warm, 2)
+        levels = build_growth_graph(cartan, kind, delta, 3).levels
+        assert len(warm.laws) == sum(map(len, levels))
+        for n, level in enumerate(levels):
+            for lam in level:
+                value = CentralMeasure(kind, pt).p(lam, n).hex()
+                for form in (lam, list(lam), tuple(map(Fraction, lam))):
+                    assert warm.p(form, n).hex() == value, (kind, pt, lam, n)
+                    if kind == "free":
+                        assert psi_eval(pt, form, n).hex() == value
+
+
+@pytest.mark.parametrize("kind, lam, n, error, detail", [
+    ("free", (1, 0), 2, NotAWeight, "(1, 0) is not a weight at level 2"),
+    ("free", (Fraction(1, 2), 0), 2, NotAWeight, "(1/2, 0) is not a weight at level 2"),
+    ("free", (1,), 2, InvalidWeight, "weight (1) has wrong rank"),
+    ("chamber", (3, 3), 2, OrderViolation, "(2, 2) is not >= (3, 3) in the root order"),
+    ("chamber", (1,), 2, InvalidWeight, "weight (1) has wrong rank"),
+    ("chamber", (-1, 2), 2, InvalidWeight, "(-1, 2) is not a dominant integral weight"),
+])
+def test_warm_law_table_keeps_every_refusal(kind, lam, n, error, detail):
+    meas = CentralMeasure(kind, boundary_point(A2, (1, 1), (0.4, 0.3)))
+    harmonicity_residual(meas, 2)  # the table holds levels 0 to 3
+    with pytest.raises(error, match=re.escape(detail)):
+        meas.p(lam, n)
+
+
+# the cases of tests/test_montecarlo.py: type, delta, drift (float.hex) and n, with
+# the total variation that pitman_equality_in_law returned before the law table
+PITMAN_TV_HEX = [
+    ("A1", (1,), "0x0.0p+0", 2, "0x1.0000000000000p-54"),
+    ("A1", (1,), "0x0.0p+0", 1, "0x0.0p+0"),
+    ("A2", (1, 0), "0x0.0p+0 0x0.0p+0", 1, "0x0.0p+0"),
+    ("B2", (0, 1), "0x0.0p+0 0x0.0p+0", 1, "0x0.0p+0"),
+    ("A1", (1,), "0x1.6e11b32740b2dp-4", 5, "0x1.8000000000000p-54"),
+    ("A2", (1, 0), "0x1.3801a40862a5ap-1 0x1.0ca39e5ee72d5p-4", 3, "0x1.4200000000000p-53"),
+    ("B2", (1, 0), "0x0.0p+0 0x0.0p+0", 1, "0x0.0p+0"),
+    ("B2", (1, 0), "0x0.0p+0 0x0.0p+0", 2, "0x1.c000000000000p-53"),
+    ("B2", (1, 0), "0x0.0p+0 0x0.0p+0", 3, "0x1.7000000000000p-53"),
+    ("B2", (1, 0), "0x1.3148da4145769p-3 0x1.3a321742d90a8p-2", 1, "0x0.0p+0"),
+    ("B2", (1, 0), "0x1.3148da4145769p-3 0x1.3a321742d90a8p-2", 2, "0x1.c200000000000p-52"),
+    ("B2", (1, 0), "0x1.3148da4145769p-3 0x1.3a321742d90a8p-2", 3, "0x1.7000000000000p-53"),
+    ("B2", (1, 0), "0x1.637c8c196f9fep-1 0x1.1a49fd41839bfp-2", 1, "0x1.0000000000000p-53"),
+    ("B2", (1, 0), "0x1.637c8c196f9fep-1 0x1.1a49fd41839bfp-2", 2, "0x1.4020000000000p-54"),
+    ("B2", (1, 0), "0x1.637c8c196f9fep-1 0x1.1a49fd41839bfp-2", 3, "0x1.41c0000000000p-53"),
+    ("B2", (0, 1), "0x0.0p+0 0x0.0p+0", 1, "0x0.0p+0"),
+    ("B2", (0, 1), "0x0.0p+0 0x0.0p+0", 2, "0x1.0000000000000p-53"),
+    ("B2", (0, 1), "0x0.0p+0 0x0.0p+0", 3, "0x1.2000000000000p-53"),
+    ("B2", (0, 1), "0x1.5203b0d9836e1p-4 0x1.b79dc991ef714p-3", 1, "0x1.8000000000000p-52"),
+    ("B2", (0, 1), "0x1.5203b0d9836e1p-4 0x1.b79dc991ef714p-3", 2, "0x1.c400000000000p-52"),
+    ("B2", (0, 1), "0x1.5203b0d9836e1p-4 0x1.b79dc991ef714p-3", 3, "0x1.8000000000000p-53"),
+    ("B2", (0, 1), "0x1.be8a9ca90d385p-4 0x1.760183e803cabp-1", 1, "0x0.0p+0"),
+    ("B2", (0, 1), "0x1.be8a9ca90d385p-4 0x1.760183e803cabp-1", 2, "0x1.4100000000000p-54"),
+    ("B2", (0, 1), "0x1.be8a9ca90d385p-4 0x1.760183e803cabp-1", 3, "0x1.c200000000000p-53"),
+    ("B3", (0, 0, 1), "0x1.9f4120e1321cap-8 "
+     "0x1.eaaa5e6deb495p-6 0x1.6d5945228e747p-1", 3, "0x1.1100000000000p-51"),
+    ("D4", (0, 1, 0, 0), "0x1.82e28f9e1f547p-6 0x1.994d524a6f3d7p-4 "
+     "0x1.347f07a264d29p-1 0x1.29e378f824d16p-4", 3, "0x1.fcd80a0000000p-49"),
+    ("A2", (1, 1), "0x1.999999999999ap-3 0x1.999999999999ap-4", 3, "0x1.c800000000000p-52"),
+]
+
+
+@pytest.mark.parametrize("tok, delta, m, n, tv", PITMAN_TV_HEX,
+                         ids=[f"{case[0]}-{k}" for k, case in enumerate(PITMAN_TV_HEX)])
+def test_pitman_law_keeps_every_bit(tok, delta, m, n, tv):
+    from weylwalks import pitman_equality_in_law
+
+    cartan = build_root_system(tok[0], int(tok[1:]))
+    m = tuple(map(float.fromhex, m.split()))
+    assert pitman_equality_in_law(cartan, delta, m, n).hex() == tv
 
 
 def test_kernel_time_homogeneity():

@@ -527,12 +527,17 @@ FUZZ_DELTAS = {"A1": ("1", "2"), "A2": ("1,0", "1,1", "0,0"), "B2": ("1,0", "0,1
 @st.composite
 def drift_target(draw, cartan, delta):
     """A point of K(delta) as --m: a convex combination of a few points of the
-    Weyl orbit of delta (faces), scaled toward 0 (t near 1) or past 1, and
+    Weyl orbit of delta (faces), scaled toward 0 (t near 1) or past 1, or one
+    orbit point scaled to within 1e-11 to 1e-7 of it (near a vertex), and
     often made dominant (chamber walks)."""
     orbit = cartan.orbit(tuple(Fraction(c) for c in delta.split(",")))
-    verts = draw(st.lists(st.sampled_from(orbit), min_size=1, max_size=len(orbit)))
-    coefs = draw(st.lists(st.floats(0, 1), min_size=len(verts), max_size=len(verts)))
-    scale = draw(st.sampled_from([1.0, 0.5, 1e-3, 1e-6, 1e-9, 1e-13, 1.0 + 1e-9, 1.01]))
+    scale = draw(st.sampled_from([1.0, 0.5, 1e-3, 1e-6, 1e-9, 1e-13, 1.0 + 1e-9, 1.01,
+                                  1 - 1e-11, 1 - 1e-9, 1 - 1e-7]))
+    if 1 - 1e-7 <= scale < 1.0:
+        verts, coefs = [draw(st.sampled_from(orbit))], [1.0]
+    else:
+        verts = draw(st.lists(st.sampled_from(orbit), min_size=1, max_size=len(orbit)))
+        coefs = draw(st.lists(st.floats(0, 1), min_size=len(verts), max_size=len(verts)))
     m = [scale * sum(c * float(v[i]) for c, v in zip(coefs, verts)) / (sum(coefs) or 1.0)
          for i in range(cartan.rank)]
     if draw(st.booleans()):

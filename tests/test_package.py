@@ -103,6 +103,24 @@ def test_root_info_loads_root_data_alone():
     assert '"weyl_order": 1152' in proc.stdout
 
 
+NO_LAYER = """
+import sys
+from weylwalks.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:  # --help or a usage error
+    pass
+print(*sorted(m for m in sys.modules if m.startswith("weylwalks.")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["root", "info"], ["graph", "build", "--kind", "x"]])
+def test_help_and_usage_errors_load_no_layer(argv):
+    # only the --type parser imports rootdata
+    proc = _python(NO_LAYER, *argv)
+    assert proc.stderr.splitlines()[-1].split() == ["weylwalks.cli", "weylwalks.errors"]
+
+
 def _unused_imports(source):
     """Names that the module-level imports of `source` bind and that nothing
     else in it reads (`from __future__` aside)."""
